@@ -9,6 +9,7 @@ resumable Dijkstra cursor, which beats the paper's restarting Dijkstra.
 from repro.experiments import figures
 
 from benchmarks._shared import emit, representative_query
+from repro import QueryOptions
 
 
 def test_ablation_design_choices(benchmark):
@@ -19,4 +20,4 @@ def test_ablation_design_choices(benchmark):
         by["dominance only (PK)"]["examined_routes"] * 1.05
     )
     engine, query = representative_query("FLA")
-    benchmark(lambda: engine.run(query, method="SK-NODOM"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK-NODOM")))

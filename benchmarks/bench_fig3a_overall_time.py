@@ -9,6 +9,7 @@ PK.
 import math
 
 from benchmarks._shared import emit, overall_sweep, representative_query
+from repro import QueryOptions
 
 
 def test_fig3a_overall_time(benchmark):
@@ -21,4 +22,4 @@ def test_fig3a_overall_time(benchmark):
     for dataset in ("CAL", "NYC", "COL", "FLA", "G+"):
         assert not math.isinf(by[(dataset, "SK")])
     engine, query = representative_query("FLA")
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

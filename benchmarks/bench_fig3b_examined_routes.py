@@ -5,6 +5,7 @@ than KPNE; index/backends (SK vs SK-DB vs SK-Dij) do not change the count.
 """
 
 from benchmarks._shared import emit, overall_sweep, representative_query
+from repro import QueryOptions
 
 
 def test_fig3b_examined_routes(benchmark):
@@ -21,4 +22,4 @@ def test_fig3b_examined_routes(benchmark):
         skdb = by[(dataset, "SK-DB")]
         assert skdb["examined_routes"] == sk["examined_routes"]
     engine, query = representative_query("FLA")
-    benchmark(lambda: engine.run(query, method="PK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="PK")))

@@ -6,6 +6,7 @@ FindNN twins (the algorithm is unchanged, only the oracle differs).
 """
 
 from benchmarks._shared import emit, overall_sweep, representative_query
+from repro import QueryOptions
 
 
 def test_fig3c_nn_queries(benchmark):
@@ -18,4 +19,4 @@ def test_fig3c_nn_queries(benchmark):
         sk = by[(dataset, "SK")]
         assert sk["nn_queries"] > 0
     engine, query = representative_query("CAL")
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

@@ -3,6 +3,7 @@
 from repro.experiments import figures
 
 from benchmarks._shared import emit, representative_query
+from repro import QueryOptions
 
 
 def test_fig3g_effect_c_cal(benchmark):
@@ -11,4 +12,4 @@ def test_fig3g_effect_c_cal(benchmark):
     sk = [r for r in rows if r["method"] == "SK"]
     assert all(not r["unfinished"] for r in sk)
     engine, query = representative_query("CAL", c_len=10)
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

@@ -7,6 +7,7 @@ SK degrades more slowly, so its advantage widens.
 from repro.experiments import figures
 
 from benchmarks._shared import emit, representative_query
+from repro import QueryOptions
 
 
 def test_fig3h_effect_ci_fla(benchmark):
@@ -16,4 +17,4 @@ def test_fig3h_effect_ci_fla(benchmark):
     sizes = [r["category_size"] for r in sk]
     assert sizes == sorted(sizes)
     engine, query = representative_query("FLA")
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

@@ -7,6 +7,7 @@ next-best routes reuses the first route's searching space.
 from repro.experiments import figures
 
 from benchmarks._shared import emit, representative_query
+from repro import QueryOptions
 
 
 def test_fig4_small_k(benchmark):
@@ -15,4 +16,4 @@ def test_fig4_small_k(benchmark):
     sk = [r for r in rows if r["method"] == "SK" and r["dataset"] == "CAL"]
     assert [r["k"] for r in sk] == [1, 2, 3, 4, 5, 10]
     engine, query = representative_query("CAL", k=1)
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

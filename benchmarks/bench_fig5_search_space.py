@@ -9,6 +9,7 @@ from repro.experiments import datasets as ds
 from repro.experiments import figures
 
 from benchmarks._shared import emit, representative_query
+from repro import QueryOptions
 
 
 def test_fig5_search_space(benchmark):
@@ -19,4 +20,4 @@ def test_fig5_search_space(benchmark):
         levels = [v for k, v in row.items() if k.startswith("level_")]
         assert levels[0] <= max(levels), "space should rise from the source"
     engine, query = representative_query("COL")
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

@@ -8,6 +8,7 @@ KPNE INF for larger f.
 from repro.experiments import figures
 
 from benchmarks._shared import emit, representative_query
+from repro import QueryOptions
 
 
 def test_fig6_zipfian(benchmark):
@@ -17,4 +18,4 @@ def test_fig6_zipfian(benchmark):
     assert [r["zipf_factor"] for r in sk] == [1.2, 1.4, 1.6, 1.8]
     assert all(not r["unfinished"] for r in sk)
     engine, query = representative_query("FLA")
-    benchmark(lambda: engine.run(query, method="SK"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))

@@ -8,6 +8,7 @@ with small categories (CAL/NYC) but loses on large-category graphs
 import math
 
 from benchmarks._shared import emit, osr_sweep, representative_query
+from repro import QueryOptions
 
 
 def test_fig7_osr(benchmark):
@@ -18,4 +19,4 @@ def test_fig7_osr(benchmark):
         assert not math.isinf(by[(dataset, "SK")])
         assert not math.isinf(by[(dataset, "GSP")])
     engine, query = representative_query("FLA", k=1)
-    benchmark(lambda: engine.run(query, method="GSP"))
+    benchmark(lambda: engine.run(query, QueryOptions(method="GSP")))

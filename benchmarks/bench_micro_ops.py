@@ -8,13 +8,8 @@ FLA analogue:
   Dijkstra vs CH query;
 * FindNN next-neighbor over the inverted label index vs a resumable
   Dijkstra cursor vs the restarting Dijkstra straw man;
-* packed vs object backend for each label kernel (distance join, FindNN
-  advance) and for a full StarKOSR query — the object leg runs with
-  ``profile=True``, which is the seed configuration (per-operation timers
-  were always on before the packed backend landed).
-
-``test_sk_query_packed_speedup`` writes the measured end-to-end ratio to
-``benchmarks/results/bench_micro_sk_speedup.json``.
+* a full StarKOSR query, a category update through the delta overlay,
+  and the empty-overlay query-cost check.
 """
 
 import time
@@ -23,11 +18,11 @@ import random
 import pytest
 
 from benchmarks._shared import emit_json, representative_query
-from repro import KOSREngine
+from repro import KOSREngine, QueryOptions
 from repro.ch import build_ch, ch_distance
 from repro.experiments import datasets as ds
 from repro.experiments.workload import random_queries
-from repro.nn import DijkstraNNFinder, LabelNNFinder, PackedLabelNNFinder
+from repro.nn import DijkstraNNFinder, PackedLabelNNFinder
 from repro.paths.bidirectional import bidirectional_distance
 from repro.paths.dijkstra import dijkstra_distance
 
@@ -69,8 +64,9 @@ def test_micro_ch_distance(benchmark, fla_engine, fla_ch, pairs):
 
 
 def test_micro_findnn_label(benchmark, fla_engine):
+    """FindNN advance kernel (cursor init + 10 advances)."""
     def kernel():
-        finder = LabelNNFinder.from_index(fla_engine.labels, fla_engine.inverted)
+        finder = PackedLabelNNFinder(fla_engine.labels, fla_engine.inverted)
         for x in range(1, 11):
             finder.find(0, 0, x)
 
@@ -95,111 +91,14 @@ def test_micro_findnn_dijkstra_restart(benchmark, fla_engine):
     benchmark(kernel)
 
 
-# ----------------------------------------------------------------------
-# Packed vs object backend: same kernels, both index representations.
-# ----------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def fla_object_engine():
-    return ds.engine_for("FLA", backend="object")
-
-
-def test_micro_label_distance_packed(benchmark, fla_engine, pairs):
-    """Packed twin of ``test_micro_label_distance`` (same vertex pairs)."""
-    labels = fla_engine.labels
-    benchmark(lambda: [labels.distance(s, t) for s, t in pairs])
-
-
-def test_micro_label_distance_object(benchmark, fla_object_engine, pairs):
-    labels = fla_object_engine.labels
-    benchmark(lambda: [labels.distance(s, t) for s, t in pairs])
-
-
-def test_micro_findnn_packed(benchmark, fla_engine):
-    """Packed FindNN advance kernel (cursor init + 10 advances)."""
-    def kernel():
-        finder = PackedLabelNNFinder(fla_engine.labels, fla_engine.inverted)
-        for x in range(1, 11):
-            finder.find(0, 0, x)
-
-    benchmark(kernel)
-
-
-def test_micro_findnn_object(benchmark, fla_object_engine):
-    def kernel():
-        finder = LabelNNFinder.from_index(
-            fla_object_engine.labels, fla_object_engine.inverted
-        )
-        for x in range(1, 11):
-            finder.find(0, 0, x)
-
-    benchmark(kernel)
-
-
 def test_micro_sk_query_packed(benchmark, fla_engine):
-    """Full StarKOSR query on the packed backend, instrumentation off."""
+    """Full StarKOSR query, instrumentation off."""
     engine, query = representative_query("FLA")
-    benchmark(lambda: engine.run(query, method="SK"))
-
-
-def test_micro_sk_query_object_profiled(benchmark, fla_object_engine):
-    """Full StarKOSR query in the seed configuration: object backend with
-    the per-operation timers that used to be unconditional."""
-    query = random_queries(fla_object_engine.graph, 1, ds.DEFAULT_C_LEN,
-                           ds.DEFAULT_K, seed=97).queries[0]
-    benchmark(lambda: fla_object_engine.run(query, method="SK", profile=True))
-
-
-def test_sk_query_packed_speedup(fla_engine, fla_object_engine):
-    """Measure the end-to-end packed-vs-seed-path speedup and persist it.
-
-    The object leg reproduces the seed configuration (object indexes +
-    always-on per-operation timers).  Interleaved best-of-N timings keep
-    the comparison robust to machine noise; results (including parity of
-    the answers) land in ``benchmarks/results/bench_micro_sk_speedup.json``.
-    """
-    workload = random_queries(fla_engine.graph, 3, ds.DEFAULT_C_LEN,
-                              ds.DEFAULT_K, seed=97)
-
-    def once(engine, profile):
-        t0 = time.perf_counter()
-        results = [engine.run(q, method="SK", profile=profile)
-                   for q in workload]
-        return time.perf_counter() - t0, results
-
-    once(fla_engine, False)          # warm both engines
-    once(fla_object_engine, True)
-    packed_times, object_times = [], []
-    for _ in range(7):
-        t_obj, obj_res = once(fla_object_engine, True)
-        t_pkd, pkd_res = once(fla_engine, False)
-        object_times.append(t_obj)
-        packed_times.append(t_pkd)
-
-    for a, b in zip(obj_res, pkd_res):
-        assert a.costs == b.costs
-        assert a.witnesses == b.witnesses
-        assert a.stats.nn_queries == b.stats.nn_queries
-
-    t_object, t_packed = min(object_times), min(packed_times)
-    speedup = t_object / t_packed
-    emit_json("bench_micro_sk_speedup", {
-        "workload": {"dataset": "FLA", "queries": len(workload),
-                     "k": ds.DEFAULT_K, "c_len": ds.DEFAULT_C_LEN},
-        "object_profiled_ms": 1000.0 * t_object,
-        "packed_ms": 1000.0 * t_packed,
-        "speedup": speedup,
-    })
-    print(f"\nSK end-to-end: object+profile {t_object * 1000:.1f} ms, "
-          f"packed {t_packed * 1000:.1f} ms -> {speedup:.2f}x")
-    # Sanity bound only — wall-clock ratios flake under CI load.  The
-    # measured ratio on an idle machine is ~1.8-2.2x; the emitted JSON
-    # carries this run's value for the perf trajectory.
-    assert speedup > 1.0
+    benchmark(lambda: engine.run(query, QueryOptions(method="SK")))
 
 
 # ----------------------------------------------------------------------
-# Delta overlay: dynamic updates on the packed backend.
+# Delta overlay: dynamic category updates.
 # ----------------------------------------------------------------------
 
 def test_micro_category_update_packed_overlay(benchmark, fla_engine):
@@ -217,19 +116,6 @@ def test_micro_category_update_packed_overlay(benchmark, fla_engine):
     def kernel():
         engine.add_vertex_to_category(outsider, 0)
         engine.remove_vertex_from_category(outsider, 0)
-
-    benchmark(kernel)
-
-
-def test_micro_category_update_object(benchmark, fla_object_engine):
-    """Object-backend twin of the overlay update kernel (insort/remove)."""
-    g = fla_object_engine.graph
-    outsider = next(v for v in range(g.num_vertices)
-                    if not g.has_category(v, 0))
-
-    def kernel():
-        fla_object_engine.add_vertex_to_category(outsider, 0)
-        fla_object_engine.remove_vertex_from_category(outsider, 0)
 
     benchmark(kernel)
 
@@ -260,7 +146,7 @@ def test_sk_query_overlay_empty_cost(fla_engine):
 
     def once(engine):
         t0 = time.perf_counter()
-        results = [engine.run(q, method="SK") for q in workload]
+        results = [engine.run(q, QueryOptions(method="SK")) for q in workload]
         return time.perf_counter() - t0, results
 
     once(fla_engine)      # warm both engines
@@ -312,7 +198,7 @@ def test_pipe_pickle_protocol_framing(fla_engine):
 
     workload = random_queries(fla_engine.graph, 12, ds.DEFAULT_C_LEN,
                               ds.DEFAULT_K, seed=167)
-    reply = [fla_engine.run(q, method="SK") for q in workload]
+    reply = [fla_engine.run(q, QueryOptions(method="SK")) for q in workload]
 
     def measure(protocol):
         best = float("inf")

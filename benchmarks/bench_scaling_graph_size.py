@@ -13,6 +13,7 @@ from repro.experiments.runner import run_workload
 from repro.experiments.workload import random_queries
 
 from benchmarks._shared import emit
+from repro import QueryOptions
 
 
 def test_scaling_graph_size(benchmark):
@@ -40,4 +41,4 @@ def test_scaling_graph_size(benchmark):
     assert sk[-1] / max(sk[0], 1e-9) < gsp[-1] / max(gsp[0], 1e-9)
     engine = ds.engine_for("FLA", scale=0.2)
     workload = random_queries(engine.graph, 1, 4, 1, seed=83)
-    benchmark(lambda: engine.run(workload.queries[0], method="GSP"))
+    benchmark(lambda: engine.run(workload.queries[0], QueryOptions(method="GSP")))

@@ -22,7 +22,7 @@ import time
 import pytest
 
 from benchmarks._shared import emit_json
-from repro import QueryService, make_query
+from repro import QueryOptions, QueryService, make_query
 from repro.experiments import datasets as ds
 
 #: workload shape: targets × sources-per-target, the shared-target SK case
@@ -48,7 +48,7 @@ def setting():
 
 
 def _run_cold(engine, queries):
-    return [engine.run(q, method="SK") for q in queries]
+    return [engine.run(q, QueryOptions(method="SK")) for q in queries]
 
 
 def test_sequential_cold(benchmark, setting):
@@ -60,7 +60,7 @@ def test_batched_warm(benchmark, setting):
     engine, queries = setting
 
     def kernel():
-        return QueryService(engine).run_batch(queries, method="SK")
+        return QueryService(engine).run_batch(queries, QueryOptions(method="SK"))
 
     benchmark(kernel)
 
@@ -71,14 +71,14 @@ def test_service_throughput_speedup(setting):
     # One throwaway pass per path so allocator/caches warm up evenly
     # before either side is timed.
     _run_cold(engine, queries[:5])
-    QueryService(engine).run_batch(queries[:5], method="SK")
+    QueryService(engine).run_batch(queries[:5], QueryOptions(method="SK"))
 
     t0 = time.perf_counter()
     cold = _run_cold(engine, queries)
     cold_s = time.perf_counter() - t0
 
     service = QueryService(engine)
-    batch = service.run_batch(queries, method="SK")
+    batch = service.run_batch(queries, QueryOptions(method="SK"))
     warm_s = batch.wall_time_s
 
     for c, w in zip(cold, batch):

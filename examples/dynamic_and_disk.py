@@ -2,8 +2,8 @@
 
 Two operational concerns the paper addresses beyond raw querying:
 
-* **category updates** — a venue opens or closes: on the default packed
-  backend the change lands in the category's *delta overlay* in
+* **category updates** — a venue opens or closes: the change lands in
+  the category's *delta overlay* in
   O(|Lin(v)| log |Ci|); query cursors fold the overlay into the flat
   buffers lazily, and ``engine.compact()`` (or the automatic
   ``overlay_ratio`` threshold) rebuilds them garbage-free;
@@ -23,7 +23,7 @@ from repro.graph import generators
 
 def main() -> None:
     graph = generators.col(scale=0.15)
-    # The default packed backend is dynamic: category updates go through
+    # The packed index is dynamic: category updates go through
     # per-category delta overlays on top of the immutable flat buffers.
     engine = KOSREngine.build(graph, name="col")
     rng = random.Random(3)

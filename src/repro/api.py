@@ -36,24 +36,21 @@ sharded workers (:mod:`repro.shard`) receive the frozen
 ``(KOSRQuery, QueryOptions)`` pair by pickle and can never drift from
 the in-process interpretation.
 
-Migration
----------
+Usage
+-----
 
-The old keyword style still works everywhere but emits a
-``DeprecationWarning``::
+Every entry point takes its options as one object::
 
-    engine.run(q, method="PK", budget=100)          # deprecated shim
-    engine.run(q, QueryOptions(method="PK", budget=100))   # new
+    engine.run(q, QueryOptions(method="PK", budget=100))
 
 ``KOSREngine.query(source, target, categories, ...)`` keeps its keyword
-sugar (it is the documented one-liner and now builds a
-:class:`QueryOptions` internally), but also accepts ``options=``.
+sugar (it is the documented one-liner and builds a :class:`QueryOptions`
+internally), and also accepts ``options=``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.core.query import KOSRQuery
@@ -69,7 +66,7 @@ class QueryOptions:
 
     ``method`` / ``nn_backend`` pick the algorithm and NN oracle (the
     vocabulary lives in :mod:`repro.service.planner`; unknown names are
-    rejected by :meth:`plan_for` exactly as before).  ``budget`` caps
+    rejected by :meth:`plan`).  ``budget`` caps
     examined routes, ``time_budget_s`` caps wall time; ``strict_budget``
     escalates either guard into
     :class:`~repro.exceptions.BudgetExceededError` instead of a partial
@@ -96,54 +93,37 @@ class QueryOptions:
         """A copy with ``changes`` applied (options are immutable)."""
         return replace(self, **changes)
 
-    def plan_for(self, backend: str):
-        """Resolve these options into a :class:`QueryPlan` for ``backend``.
+    def plan(self):
+        """Resolve these options into a :class:`QueryPlan`.
 
-        This is the single validation point for the method / NN-backend /
-        index-backend vocabulary (raises
-        :class:`~repro.exceptions.QueryError` on unknown names).
+        This is the single validation point for the method / NN-backend
+        vocabulary (raises :class:`~repro.exceptions.QueryError` on
+        unknown names).
         """
         from repro.service.planner import resolve_plan
 
-        return resolve_plan(self.method, self.nn_backend, backend)
+        return resolve_plan(self.method, self.nn_backend)
 
 
 #: The library-wide defaults, defined once.
 DEFAULT_OPTIONS = QueryOptions()
 
-_OPTION_FIELDS = frozenset(f.name for f in fields(QueryOptions))
 
+def resolve_options(options: Optional[QueryOptions],
+                    caller: str) -> QueryOptions:
+    """``options`` or the defaults; anything but a QueryOptions is a TypeError.
 
-def merge_query_kwargs(options: Optional[QueryOptions], kwargs: dict,
-                       caller: str) -> QueryOptions:
-    """The kwargs-compatibility shim shared by every query entry point.
-
-    Returns ``options`` (or the defaults) when no legacy keywords were
-    passed; otherwise emits a ``DeprecationWarning`` and layers the
-    keywords over ``options``.  Unknown keywords raise ``TypeError`` just
-    like a real signature would, and so does a non-``QueryOptions``
-    second positional argument (the pre-PR-4 ``run(q, "PK")`` style),
-    with a message that names the migration.
+    The old positional style (``run(q, "PK")``) fails here with a message
+    naming the fix instead of deep inside the planner.
     """
-    if options is not None and not isinstance(options, QueryOptions):
+    if options is None:
+        return DEFAULT_OPTIONS
+    if not isinstance(options, QueryOptions):
         raise TypeError(
             f"{caller}() expects options to be a QueryOptions, got "
-            f"{type(options).__name__!s} ({options!r}); the old positional "
-            f"method argument is gone — pass QueryOptions(method=...) or "
-            f"the deprecated method=... keyword")
-    if not kwargs:
-        return options if options is not None else DEFAULT_OPTIONS
-    unknown = sorted(set(kwargs) - _OPTION_FIELDS)
-    if unknown:
-        raise TypeError(
-            f"{caller}() got unexpected keyword arguments {unknown}; "
-            f"valid query options: {sorted(_OPTION_FIELDS)}")
-    warnings.warn(
-        f"passing query options to {caller}() as keyword arguments is "
-        f"deprecated; pass options=QueryOptions(...) instead",
-        DeprecationWarning, stacklevel=3)
-    base = options if options is not None else DEFAULT_OPTIONS
-    return base.replace(**kwargs)
+            f"{type(options).__name__!s} ({options!r}); pass "
+            f"QueryOptions(method=...)")
+    return options
 
 
 @dataclass(frozen=True)

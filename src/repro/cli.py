@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.api import QueryOptions, QueryRequest
-from repro.core.engine import BACKENDS, KOSREngine, METHODS, NN_BACKENDS
+from repro.core.engine import KOSREngine, METHODS, NN_BACKENDS
 from repro.experiments import figures as figure_defs
 from repro.experiments.reporting import format_table
 from repro.graph import generators
@@ -120,11 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     qry.add_argument("--k", type=int, default=1)
     qry.add_argument("--method", default="SK", choices=list(METHODS))
     qry.add_argument("--nn-backend", default="label", choices=list(NN_BACKENDS))
-    qry.add_argument("--backend", default="packed", choices=list(BACKENDS),
-                     help="index backend (packed = flat buffers, default; "
-                          "both support dynamic category updates)")
     qry.add_argument("--overlay-ratio", type=float, default=None,
-                     help="packed backend only: fraction of live inverted "
+                     help="fraction of live inverted "
                           "entries the delta overlay may reach before a "
                           "category's buffers are compacted")
     qry.add_argument("--budget", type=int, default=None,
@@ -152,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default method for records that do not name one")
         p.add_argument("--nn-backend", default="label",
                        choices=list(NN_BACKENDS))
-        p.add_argument("--backend", default="packed", choices=list(BACKENDS))
         p.add_argument("--overlay-ratio", type=float, default=None)
         p.add_argument("--budget", type=int, default=None,
                        help="per-query examined-route cap")
@@ -204,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--method", default="SK", choices=list(METHODS),
                      help="default method for requests that do not name one")
     srv.add_argument("--nn-backend", default="label", choices=list(NN_BACKENDS))
-    srv.add_argument("--backend", default="packed", choices=list(BACKENDS))
     srv.add_argument("--overlay-ratio", type=float, default=None)
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8765)
@@ -286,10 +281,7 @@ def cmd_preprocess(args) -> int:
     print(f"labels built in {p.label_build_seconds:.2f}s: "
           f"avg |Lin| = {p.avg_lin:.1f}, avg |Lout| = {p.avg_lout:.1f}, "
           f"{p.label_entries} entries")
-    labels = engine.labels
-    packed = (labels if isinstance(labels, PackedLabelIndex)
-              else PackedLabelIndex.from_index(labels))
-    written = packed.save(out / "labels.bin")
+    written = engine.labels.save(out / "labels.bin")
     print(f"packed labels: {written / 1e6:.2f} MB -> {out / 'labels.bin'}")
     store = engine.attach_disk_store(out / "shards")
     print(f"category shards: {store.total_bytes() / 1e6:.2f} MB -> "
@@ -322,13 +314,9 @@ def cmd_index(args) -> int:
 
 def _make_engine(args, needs_labels: Optional[bool] = None):
     graph = _load_graph(args.graph)
-    backend = getattr(args, "backend", "packed")
     overlay_ratio = getattr(args, "overlay_ratio", None)
     mmap_index = getattr(args, "mmap_index", None)
     if mmap_index:
-        if backend != "packed":
-            raise SystemExit("--mmap-index requires --backend packed "
-                             "(the file holds packed flat buffers)")
         return KOSREngine.from_index_file(graph, mmap_index,
                                           name=Path(args.graph).stem,
                                           overlay_ratio=overlay_ratio)
@@ -337,7 +325,6 @@ def _make_engine(args, needs_labels: Optional[bool] = None):
         packed = PackedLabelIndex.load(labels_path)
         engine = KOSREngine.from_labels(graph, packed,
                                         name=Path(args.graph).stem,
-                                        backend=backend,
                                         overlay_ratio=overlay_ratio)
         shards = Path(args.index) / "shards"
         if shards.exists():
@@ -352,8 +339,7 @@ def _make_engine(args, needs_labels: Optional[bool] = None):
         needs_labels = (args.nn_backend == "label"
                         and args.method not in ("GSP", "GSP-CH"))
     if needs_labels:
-        return KOSREngine.build(graph, backend=backend,
-                                overlay_ratio=overlay_ratio)
+        return KOSREngine.build(graph, overlay_ratio=overlay_ratio)
     return KOSREngine(graph)
 
 
@@ -384,14 +370,11 @@ def _make_sharded(args, build_labels: bool = True):
         raise SystemExit("--shards must be >= 1")
     graph = _load_graph(args.graph)
     index_path = getattr(args, "mmap_index", None)
-    if index_path and args.backend != "packed":
-        raise SystemExit("--mmap-index requires --backend packed "
-                         "(the file holds packed flat buffers)")
     labels = None
     if args.index and not index_path:
         labels = PackedLabelIndex.load(Path(args.index) / "labels.bin")
     return ShardedQueryService(
-        graph, args.shards, labels=labels, backend=args.backend,
+        graph, args.shards, labels=labels,
         overlay_ratio=getattr(args, "overlay_ratio", None),
         max_dest_kernels=getattr(args, "max_dest_kernels", None),
         max_finders=getattr(args, "max_finders", None),
@@ -523,7 +506,7 @@ def _prepare_workload(args):
         backend = _make_engine(args, needs_labels=needs_labels)
     for method in sorted(methods):
         try:
-            resolve_plan(method, args.nn_backend, args.backend)
+            resolve_plan(method, args.nn_backend)
         except QueryError as exc:
             raise SystemExit(str(exc))
         if method == "SK-DB" and backend._store is None:
@@ -747,7 +730,7 @@ def cmd_serve(args) -> int:
         mmap_note = "on" if getattr(args, "mmap_index", None) else "off"
         metrics_note = "on" if args.metrics else "off"
         print(f"serving KOSR queries on {addr[0]}:{addr[1]} "
-              f"({shards_note}, backend={args.backend}, mmap={mmap_note}, "
+              f"({shards_note}, mmap={mmap_note}, "
               f"metrics={metrics_note}, method={args.method}, "
               f"max_inflight={args.max_inflight}, "
               f"max_queue={args.max_queue})")

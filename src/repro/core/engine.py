@@ -26,21 +26,13 @@ Every index mutation stamps :attr:`index_epoch`; the service layer's
 session caches validate against it, so stale cross-query state can never
 survive an update (see ``SessionCache``).
 
-Two interchangeable *index backends* exist (``BACKENDS``):
-
-* ``"packed"`` (default) — flat-buffer label and inverted indexes
-  (:class:`~repro.labeling.packed.PackedLabelIndex`,
-  :class:`~repro.labeling.packed_inverted.PackedInvertedIndex`); every
-  query hot path is index arithmetic over parallel buffers.  Dynamic
-  category updates go through a per-category delta overlay that queries
-  lazily fold in (see :meth:`KOSREngine.add_vertex_to_category` /
-  :meth:`KOSREngine.compact`).
-* ``"object"`` — per-entry :class:`~repro.labeling.labels.LabelEntry`
-  objects and dict-of-tuple-list inverted indexes; kept as the reference
-  implementation (updates patch its sorted lists in place).
-
-Both return bit-identical results (asserted by the backend-parity tests);
-pick with ``KOSREngine.build(graph, backend=...)``.
+The index is one representation: flat-buffer label and inverted indexes
+(:class:`~repro.labeling.packed.PackedLabelIndex`,
+:class:`~repro.labeling.packed_inverted.PackedInvertedIndex`, or their
+mmap-attached views), so every query hot path is index arithmetic over
+parallel buffers.  Dynamic category updates go through a per-category
+delta overlay that queries lazily fold in (see
+:meth:`KOSREngine.add_vertex_to_category` / :meth:`KOSREngine.compact`).
 """
 
 from __future__ import annotations
@@ -49,33 +41,28 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.api import DEFAULT_OPTIONS, QueryOptions, merge_query_kwargs
+from repro.api import DEFAULT_OPTIONS, QueryOptions, resolve_options
 from repro.core.query import KOSRQuery, make_query
 from repro.core.stats import PreprocessingStats, QueryStats
 from repro.exceptions import BudgetExceededError, QueryError  # noqa: F401  (re-export)
 from repro.graph.graph import Graph
 from repro.labeling import updates as _updates
-from repro.labeling.inverted import InvertedLabelIndex, build_inverted_indexes
-from repro.labeling.labels import LabelIndex
 from repro.labeling.packed import PackedLabelIndex
-from repro.labeling.packed_inverted import build_packed_inverted_indexes
+from repro.labeling.packed_inverted import (
+    PackedInvertedIndex,
+    build_packed_inverted_indexes,
+)
 from repro.labeling.pll_unweighted import build_labels_auto
 from repro.labeling.storage import CategoryShardStore
 from repro.nn.base import NearestNeighborFinder
 from repro.nn.dijkstra_nn import DijkstraNNFinder
-from repro.nn.label_nn import LabelNNFinder, PackedLabelNNFinder
+from repro.nn.label_nn import PackedLabelNNFinder
 from repro.service.execution import execute_plan
-from repro.service.planner import (
-    BACKENDS,
-    METHODS,
-    NN_BACKENDS,
-    check_backend,
-)
+from repro.service.planner import METHODS, NN_BACKENDS
 from repro.service.service import QueryService
 from repro.types import CategoryId, Route, SequencedResult, Vertex
 
 __all__ = [
-    "BACKENDS",
     "KOSREngine",
     "KOSRResult",
     "METHODS",
@@ -106,16 +93,14 @@ class KOSREngine:
     def __init__(
         self,
         graph: Graph,
-        labels: Optional[LabelIndex] = None,
-        inverted: Optional[Dict[CategoryId, InvertedLabelIndex]] = None,
+        labels: Optional[PackedLabelIndex] = None,
+        inverted: Optional[Dict[CategoryId, PackedInvertedIndex]] = None,
         preprocessing: Optional[PreprocessingStats] = None,
-        backend: str = "packed",
     ):
         self.graph = graph
         self.labels = labels
         self.inverted = inverted
         self.preprocessing = preprocessing
-        self.backend = backend
         self._store: Optional[CategoryShardStore] = None
         self._ch = None
         #: build-time compaction-threshold override, re-applied when
@@ -133,12 +118,8 @@ class KOSREngine:
     # Construction
     # ------------------------------------------------------------------
     @staticmethod
-    def _check_backend(backend: str) -> None:
-        check_backend(backend)
-
-    @staticmethod
     def _inverted_stats(stats: PreprocessingStats, inverted) -> None:
-        """Fill the Table IX inverted-index statistics (either backend)."""
+        """Fill the Table IX inverted-index statistics."""
         totals = [il.total_entries for il in inverted.values()]
         stats.inverted_entries = sum(totals)
         stats.avg_il_per_category = (sum(totals) / len(totals)) if totals else 0.0
@@ -158,54 +139,27 @@ class KOSREngine:
         graph: Graph,
         order: Optional[Sequence[Vertex]] = None,
         name: str = "",
-        backend: str = "packed",
         overlay_ratio: Optional[float] = None,
     ) -> "KOSREngine":
         """Build hub labels and inverted indexes, recording Table IX stats.
 
-        ``backend`` selects the index representation (see ``BACKENDS``):
-        ``"packed"`` (default) stores labels and inverted lists as flat
-        parallel buffers and serves queries without materialising
-        per-entry objects; ``"object"`` keeps the per-entry
-        :class:`~repro.labeling.labels.LabelEntry` representation.  Both
-        backends return identical results.  ``overlay_ratio`` overrides
-        the packed backend's per-category compaction threshold (the
-        fraction of live entries the delta overlay may reach before a
+        ``overlay_ratio`` overrides the per-category compaction threshold
+        (the fraction of live entries the delta overlay may reach before a
         category's buffers are rebuilt).
         """
-        cls._check_backend(backend)
-        stats = PreprocessingStats(
-            graph_name=name,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-        )
         t0 = time.perf_counter()
         labels = build_labels_auto(graph, order)
-        if backend == "packed":
-            labels = PackedLabelIndex.from_index(labels)
-        stats.label_build_seconds = time.perf_counter() - t0
-        stats.avg_lin, stats.avg_lout = labels.average_label_sizes()
-        stats.label_entries = labels.size_entries()
-
-        t0 = time.perf_counter()
-        if backend == "packed":
-            inverted = build_packed_inverted_indexes(graph, labels)
-            cls._apply_overlay_ratio(inverted, overlay_ratio)
-        else:
-            inverted = build_inverted_indexes(graph, labels)
-        stats.inverted_build_seconds = time.perf_counter() - t0
-        cls._inverted_stats(stats, inverted)
-        engine = cls(graph, labels, inverted, stats, backend=backend)
-        engine._overlay_ratio = overlay_ratio
+        label_seconds = time.perf_counter() - t0
+        engine = cls.from_labels(graph, labels, name, overlay_ratio)
+        engine.preprocessing.label_build_seconds = label_seconds
         return engine
 
     @classmethod
     def from_labels(
         cls,
         graph: Graph,
-        labels: Union[LabelIndex, PackedLabelIndex],
+        labels: PackedLabelIndex,
         name: str = "",
-        backend: str = "packed",
         overlay_ratio: Optional[float] = None,
     ) -> "KOSREngine":
         """Assemble an engine from prebuilt labels (rebuilds only the
@@ -214,34 +168,22 @@ class KOSREngine:
         Hub labels depend solely on graph topology, so experiment sweeps
         that vary *category assignments* (|Ci|, zipf skew) reuse one label
         index across settings — this is the paper's setup, where labels are
-        precomputed offline once per graph.
-
-        ``labels`` may be either representation; it is converted to match
-        ``backend`` when necessary (a :class:`PackedLabelIndex` passed to
-        the default packed backend is used as-is, so engines can share one
-        index instance).
+        precomputed offline once per graph.  ``labels`` is used as-is, so
+        engines can share one index instance.
         """
-        cls._check_backend(backend)
         stats = PreprocessingStats(
             graph_name=name,
             num_vertices=graph.num_vertices,
             num_edges=graph.num_edges,
         )
-        if backend == "packed" and isinstance(labels, LabelIndex):
-            labels = PackedLabelIndex.from_index(labels)
-        elif backend == "object" and isinstance(labels, PackedLabelIndex):
-            labels = labels.to_index()
         stats.avg_lin, stats.avg_lout = labels.average_label_sizes()
         stats.label_entries = labels.size_entries()
         t0 = time.perf_counter()
-        if backend == "packed":
-            inverted = build_packed_inverted_indexes(graph, labels)
-            cls._apply_overlay_ratio(inverted, overlay_ratio)
-        else:
-            inverted = build_inverted_indexes(graph, labels)
+        inverted = build_packed_inverted_indexes(graph, labels)
+        cls._apply_overlay_ratio(inverted, overlay_ratio)
         stats.inverted_build_seconds = time.perf_counter() - t0
         cls._inverted_stats(stats, inverted)
-        engine = cls(graph, labels, inverted, stats, backend=backend)
+        engine = cls(graph, labels, inverted, stats)
         engine._overlay_ratio = overlay_ratio
         return engine
 
@@ -255,7 +197,7 @@ class KOSREngine:
     ) -> "KOSREngine":
         """Attach a saved RPLI index file zero-copy (mmap, no build).
 
-        The returned engine runs the packed backend over
+        The returned engine runs over
         :class:`~repro.labeling.mmap_index.MmapLabelIndex` /
         ``MmapInvertedIndex`` views into the file: construction is an
         ``open`` + ``mmap`` + header parse, and every process attaching
@@ -297,7 +239,7 @@ class KOSREngine:
         except Exception:
             index_file.close()
             raise
-        engine = cls(graph, labels, inverted, stats, backend="packed")
+        engine = cls(graph, labels, inverted, stats)
         engine._overlay_ratio = overlay_ratio
         engine._index_file = index_file
         return engine
@@ -309,17 +251,12 @@ class KOSREngine:
         """Write labels + inverted indexes as one RPLI v2 index file.
 
         The file is what :meth:`from_index_file` (and shard workers in
-        mmap mode) attach zero-copy.  Packed backend only — the object
-        backend has no flat buffers to dump.  Returns bytes written.
+        mmap mode) attach zero-copy.  Returns bytes written.
         """
         from repro.labeling.packed import write_index_file
 
         if self.labels is None or self.inverted is None:
             raise QueryError("build the indexes before saving an index file")
-        if self.backend != "packed":
-            raise QueryError(
-                f"index files require the packed backend, not "
-                f"{self.backend!r}")
         return write_index_file(path, self.labels, self.inverted)
 
     def index_memory(self) -> Dict[str, object]:
@@ -327,23 +264,19 @@ class KOSREngine:
 
         ``*_resident`` estimates live in-process bytes (near zero for
         mmap-attached indexes, whose pages are shared file cache);
-        ``*_serialized`` is the 8-bytes-per-element at-rest size.  The
-        object backend reports zeros — it has no flat buffers to
-        account.  Surfaced per worker through the TCP ``{"stats": true}``
-        reply.
+        ``*_serialized`` is the 8-bytes-per-element at-rest size (zeros
+        on an engine without label indexes).  Surfaced per worker through
+        the TCP ``{"stats": true}`` reply.
         """
         labels = self.labels
         inverted = self.inverted or {}
-        labels_resident = int(getattr(labels, "nbytes_resident", 0) or 0)
-        labels_serialized = int(getattr(labels, "nbytes_serialized", 0) or 0)
-        inverted_resident = sum(
-            int(getattr(il, "nbytes_resident", 0) or 0)
-            for il in inverted.values())
-        inverted_serialized = sum(
-            int(getattr(il, "nbytes_serialized", 0) or 0)
-            for il in inverted.values())
+        labels_resident = labels.nbytes_resident if labels is not None else 0
+        labels_serialized = (labels.nbytes_serialized
+                             if labels is not None else 0)
+        inverted_resident = sum(il.nbytes_resident for il in inverted.values())
+        inverted_serialized = sum(il.nbytes_serialized
+                                  for il in inverted.values())
         payload: Dict[str, object] = {
-            "backend": self.backend,
             "shared": bool(getattr(labels, "is_mmap", False)),
             "labels_resident": labels_resident,
             "labels_serialized": labels_serialized,
@@ -428,12 +361,11 @@ class KOSREngine:
     # Dynamic updates (Sec. IV-C)
     # ------------------------------------------------------------------
     def add_vertex_to_category(self, v: Vertex, cid: CategoryId) -> None:
-        """Insert ``cid`` into ``F(v)``, patching this backend's ``IL(cid)``.
+        """Insert ``cid`` into ``F(v)``, patching ``IL(cid)``.
 
-        Works on both backends: the object backend binary-inserts into
-        its sorted hub lists; the packed backend stages the deltas in the
-        category's overlay (folded in lazily by the next queries,
-        compacted automatically past ``overlay_ratio``).  Any attached
+        The deltas are staged in the category's overlay (folded in lazily
+        by the next queries, compacted automatically past
+        ``overlay_ratio``).  Any attached
         disk store is detached — its shards no longer reflect the
         indexes (re-run :meth:`attach_disk_store` to refresh them).  The
         index epoch moves, invalidating session caches.
@@ -454,9 +386,8 @@ class KOSREngine:
                     order: Optional[Sequence[Vertex]] = None) -> None:
         """Apply one edge insert/change/delete (``weight=None`` deletes).
 
-        Rebuilds labels and inverted indexes in this engine's own backend
-        representation — a packed engine stays packed and keeps its
-        build-time ``overlay_ratio``.  The cached CH and any attached
+        Rebuilds labels and inverted indexes, keeping the build-time
+        ``overlay_ratio``.  The cached CH and any attached
         disk store are dropped (both stale after a structure change), and
         the index epoch moves past every previous value.
         """
@@ -465,17 +396,15 @@ class KOSREngine:
         # fresh indexes whose version counters restart at zero.
         self._epoch_base = self.index_epoch + 1
         self.labels, self.inverted = _updates.update_edge(
-            self.graph, u, v, weight, order, backend=self.backend)
-        if self.backend == "packed":
-            self._apply_overlay_ratio(self.inverted, self._overlay_ratio)
+            self.graph, u, v, weight, order)
+        self._apply_overlay_ratio(self.inverted, self._overlay_ratio)
         self._ch = None
         self._store = None
 
     def compact(self) -> None:
         """Fold every category's delta overlay in and drop buffer garbage.
 
-        Only meaningful on the packed backend (a no-op otherwise); query
-        results are unchanged.  Call it after an update burst to return
+        Query results are unchanged.  Call it after an update burst to return
         to the garbage-free flat-buffer layout instead of waiting for the
         per-category ``overlay_ratio`` trigger.  Bumps the index epoch:
         compaction rebuilds the physical buffers, so session caches
@@ -484,8 +413,7 @@ class KOSREngine:
         self._epoch_base += 1
         if self.inverted:
             for il in self.inverted.values():
-                if hasattr(il, "compact"):
-                    il.compact()
+                il.compact()
 
     def _require_indexes(self) -> None:
         if self.labels is None or self.inverted is None:
@@ -544,7 +472,7 @@ class KOSREngine:
 
         The keywords are sugar over one :class:`~repro.api.QueryOptions`:
         explicitly-passed keywords layer over ``options`` (same merge
-        semantics as the :meth:`run` shim), so this path can never drift
+        semantics as ``options.replace``), so this path can never drift
         from :meth:`run` again.
         """
         q = self.make_query(source, target, categories, k)
@@ -561,21 +489,19 @@ class KOSREngine:
         self,
         q: KOSRQuery,
         options: Optional[QueryOptions] = None,
-        **legacy_kwargs,
     ) -> KOSRResult:
         """Answer a prevalidated :class:`KOSRQuery` with cold resources.
 
         ``options`` (a :class:`~repro.api.QueryOptions`, defaulting to
-        :data:`~repro.api.DEFAULT_OPTIONS`) selects the method/backends
-        and execution knobs; the pre-PR-4 keyword style still works via a
-        deprecation shim.  The method dispatch resolves through the
+        :data:`~repro.api.DEFAULT_OPTIONS`) selects the method, NN backend
+        and execution knobs.  The method dispatch resolves through the
         service layer's planner registry; execution builds a fresh finder
         and fresh memos per query (the paper's measurement setup).  For
         warm cross-query caching and batched workloads use
         :attr:`service`.
         """
-        options = merge_query_kwargs(options, legacy_kwargs, "KOSREngine.run")
-        return execute_plan(self, options.plan_for(self.backend), q, options)
+        options = resolve_options(options, "KOSREngine.run")
+        return execute_plan(self, options.plan(), q, options)
 
     def contraction_hierarchy(self):
         """The engine's CH (built lazily, cached; used by GSP-CH)."""
@@ -590,9 +516,7 @@ class KOSREngine:
         if nn_backend == "label":
             if self.labels is None or self.inverted is None:
                 raise QueryError("label backend requires built indexes; call build()")
-            if self.backend == "packed":
-                return PackedLabelNNFinder(self.labels, self.inverted)
-            return LabelNNFinder.from_index(self.labels, self.inverted)
+            return PackedLabelNNFinder(self.labels, self.inverted)
         if nn_backend == "dij-restart":
             return DijkstraNNFinder(self.graph, mode="restart")
         if nn_backend == "dij-resume":

@@ -43,34 +43,24 @@ _store_dirs: Dict[int, str] = {}
 
 
 def _labels_for(name: str, scale: float, graph: Graph) -> PackedLabelIndex:
-    """One packed label index per ``(dataset, scale)``; engines share it.
-
-    The packed form is cached (it is what the default backend consumes
-    as-is); object-backend engines unpack their own copy on demand.
-    """
+    """One packed label index per ``(dataset, scale)``; engines share it."""
     key = (name, round(scale, 6))
     labels = _label_cache.get(key)
     if labels is None:
-        labels = PackedLabelIndex.from_index(build_labels_auto(graph))
+        labels = build_labels_auto(graph)
         _label_cache[key] = labels
     return labels
 
 
-def engine_for(
-    name: str, scale: Optional[float] = None, backend: str = "packed"
-) -> KOSREngine:
-    """Engine over a dataset analogue with its default categories (cached).
-
-    ``backend`` selects the engine's index representation (the micro
-    benchmarks compare "packed" against "object" on the same labels).
-    """
+def engine_for(name: str, scale: Optional[float] = None) -> KOSREngine:
+    """Engine over a dataset analogue with its default categories (cached)."""
     scale = BENCH_SCALE if scale is None else scale
-    key = (name, round(scale, 6), "default", backend)
+    key = (name, round(scale, 6), "default")
     engine = _engine_cache.get(key)
     if engine is None:
         graph = generators.dataset_by_name(name, scale=scale)
         labels = _labels_for(name, scale, graph)
-        engine = KOSREngine.from_labels(graph, labels, name=name, backend=backend)
+        engine = KOSREngine.from_labels(graph, labels, name=name)
         _engine_cache[key] = engine
     return engine
 

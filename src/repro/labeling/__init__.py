@@ -2,26 +2,24 @@
 
 * :mod:`repro.labeling.pll` — pruned landmark labeling construction
   (Akiba et al., SIGMOD 2013), extended to directed weighted graphs with
-  pruned Dijkstra searches.
-* :mod:`repro.labeling.labels` — the label index: ``Lin``/``Lout`` entries,
-  merge-join distance queries, and actual-route restoration via per-entry
-  parent pointers.
-* :mod:`repro.labeling.inverted` — the paper's per-category inverted label
-  index ``IL(Ci)`` that makes FindNN incremental.
-* :mod:`repro.labeling.packed` / :mod:`repro.labeling.packed_inverted` —
-  flat-buffer counterparts of the label and inverted indexes; the default
-  ("packed") query backend operates on these without materialising
-  per-entry objects.
+  pruned Dijkstra searches; :mod:`repro.labeling.pll_unweighted` is the
+  BFS variant for unit-weight graphs.  Both emit a packed index directly.
+* :mod:`repro.labeling.packed` — the label index: ``Lin``/``Lout`` as
+  flat parallel rank/dist/parent buffers, merge-join distance queries,
+  route restoration via parent pointers, and the RPLI index file.
+* :mod:`repro.labeling.packed_inverted` — the paper's per-category
+  inverted label index ``IL(Ci)`` as flat buffers, which makes FindNN
+  incremental.
 * :mod:`repro.labeling.mmap_index` — zero-copy read-only views over a
   saved index file: build once, ``mmap``-attach from any number of
   processes, share one physical copy through the OS page cache.
-* :mod:`repro.labeling.storage` — disk-resident per-category shards (SK-DB).
+* :mod:`repro.labeling.storage` — disk-resident per-category shards (SK-DB)
+  in the same packed layout.
 * :mod:`repro.labeling.updates` — dynamic category/structure updates
-  (Sec. IV-C) for both backends; the packed backend absorbs category
-  updates through per-category delta overlays with threshold compaction.
+  (Sec. IV-C); category updates go through per-category delta overlays
+  with threshold compaction.
 """
 
-from repro.labeling.labels import LabelEntry, LabelIndex
 from repro.labeling.order import degree_order, random_order
 from repro.labeling.pll import build_pruned_landmark_labels
 from repro.labeling.pll_unweighted import (
@@ -29,7 +27,6 @@ from repro.labeling.pll_unweighted import (
     build_labels_auto,
     graph_is_unit_weight,
 )
-from repro.labeling.inverted import InvertedLabelIndex, build_inverted_indexes
 from repro.labeling.mmap_index import (
     MmapIndexFile,
     MmapInvertedIndex,
@@ -54,16 +51,12 @@ from repro.labeling.updates import (
 )
 
 __all__ = [
-    "LabelEntry",
-    "LabelIndex",
     "degree_order",
     "random_order",
     "build_pruned_landmark_labels",
     "build_bfs_labels",
     "build_labels_auto",
     "graph_is_unit_weight",
-    "InvertedLabelIndex",
-    "build_inverted_indexes",
     "PackedLabelIndex",
     "PackedInvertedIndex",
     "MmapIndexFile",

@@ -31,7 +31,7 @@ loop.  Instead:
 * :class:`MmapInvertedIndex` decodes whole hub runs on first touch into
   process-local list buffers — the FindNN/FindNEN cursors then advance
   over exactly the same list-of-primitives layout as the list-backed
-  packed backend.  Decoded runs are the *only* per-process index memory,
+  packed index.  Decoded runs are the *only* per-process index memory,
   proportional to the hub runs a worker's queries actually touch.
 
 Both views are **immutable**: category updates first re-materialise a
@@ -55,13 +55,14 @@ from repro.labeling.packed import (
     PathLike,
     _buffer_resident_bytes,
     _PackedSide,
+    merge_runs,
 )
 from repro.labeling.packed_inverted import (
     DEFAULT_OVERLAY_RATIO,
     PackedInvertedIndex,
     _EMPTY_SLICE,
 )
-from repro.types import CategoryId, Cost, INFINITY, Vertex
+from repro.types import CategoryId, Cost, Vertex
 
 __all__ = ["MmapIndexFile", "MmapInvertedIndex", "MmapLabelIndex"]
 
@@ -70,7 +71,7 @@ class MmapLabelIndex(PackedLabelIndex):
     """A :class:`PackedLabelIndex` whose buffers are mmap'ed file slices.
 
     Query surface and results are identical to the list-backed index
-    (asserted by the backend-parity suite); only the buffer storage and
+    (asserted by the reference-parity suite); only the buffer storage and
     the merge-join decode strategy differ.  Instances keep their owning
     :class:`MmapIndexFile` alive for as long as any view is reachable.
     """
@@ -97,28 +98,10 @@ class MmapLabelIndex(PackedLabelIndex):
         # Decode each label run in one C pass, then run the identical
         # two-pointer merge over plain lists — per-element memoryview
         # indexing would re-box on every probe.
-        ranks_o = out.hub_ranks[lo_o:hi_o].tolist()
-        ranks_i = ins.hub_ranks[lo_i:hi_i].tolist()
-        dists_o = out.dists[lo_o:hi_o].tolist()
-        dists_i = ins.dists[lo_i:hi_i].tolist()
-        best = INFINITY
-        best_hub: Optional[int] = None
-        i, i_end = 0, len(ranks_o)
-        j, j_end = 0, len(ranks_i)
-        while i < i_end and j < j_end:
-            a, b = ranks_o[i], ranks_i[j]
-            if a == b:
-                total = dists_o[i] + dists_i[j]
-                if total < best:
-                    best = total
-                    best_hub = a
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
-        return best, best_hub
+        return merge_runs(out.hub_ranks[lo_o:hi_o].tolist(),
+                          out.dists[lo_o:hi_o].tolist(),
+                          ins.hub_ranks[lo_i:hi_i].tolist(),
+                          ins.dists[lo_i:hi_i].tolist())
 
 
 class MmapInvertedIndex:

@@ -1,17 +1,16 @@
-"""Flat-buffer label storage: the primary query backend.
+"""Flat-buffer label storage: the one label-index representation.
 
 Sec. V-A notes that on large graphs "the index sizes may be too large to
 fit into main memory" and points at hub-label compression [12].  This
 module stores each vertex's label set in three flat parallel buffers
-(hub ranks, distances, parents) plus an offsets buffer, instead of
-per-entry :class:`~repro.labeling.labels.LabelEntry` objects, and adds a
+(hub ranks, distances, parents) plus an offsets buffer, and adds a
 fixed-layout binary serialisation (the ``RPLI`` v2 *index file*).
 
 The in-memory buffers are plain Python lists of primitives.  ``array``
 buffers would be more compact at rest, but ``array.__getitem__`` re-boxes
 its element on every access, which benchmarks *slower* in the merge-join
-hot loop than either list indexing or dataclass attribute access; lists
-of already-boxed numbers are the fastest pure-Python layout.
+hot loop than list indexing; lists of already-boxed numbers are the
+fastest pure-Python layout.
 
 RPLI v2 index file format
 -------------------------
@@ -37,11 +36,9 @@ with the hub runs concatenated in ascending-rank order.  Every section
 is a multiple of 8 bytes, so all offsets stay naturally aligned for
 ``memoryview.cast``.
 
-:class:`PackedLabelIndex` offers the same query surface as
-:class:`repro.labeling.labels.LabelIndex` (``distance``,
-``distance_with_hub``, ``path``, ``restore_witness_route``,
-``lin``/``lout``), so the two backends are interchangeable; tests assert
-full parity.
+:class:`PackedLabelIndex` answers ``distance``, ``distance_with_hub``,
+``path`` and ``restore_witness_route``; ``lin(v)`` / ``lout(v)`` return
+a vertex's label as ``(hub_rank, dist, parent)`` tuples for inspection.
 """
 
 from __future__ import annotations
@@ -49,17 +46,21 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import IndexBuildError, IndexStorageError
-from repro.labeling.labels import LabelEntry, LabelIndex
 from repro.types import CategoryId, Cost, INFINITY, Vertex
 
 PathLike = Union[str, Path]
 
 #: parent sentinel for hub self-entries
-_NO_PARENT = -1
+NO_PARENT = -1
+
+#: one label entry as returned by ``lin(v)`` / ``lout(v)``:
+#: ``(hub_rank, dist, parent)``, ``parent`` None on the hub's own entry
+LabelTuple = Tuple[int, Cost, Optional[Vertex]]
 
 _MAGIC = b"RPLI"
 _VERSION = 2
@@ -99,6 +100,32 @@ def _buffer_resident_bytes(buf) -> int:
     return sys.getsizeof(buf)
 
 
+def merge_runs(ranks_o, dists_o, ranks_i, dists_i) -> Tuple[Cost, Optional[int]]:
+    """``(dis, hub_rank)`` of two rank-sorted label runs by merge join.
+
+    ``Lout(s)`` against ``Lin(t)`` as plain lists (decoded mmap slices,
+    per-query SK-DB runs); the hub rank is None iff no hub is shared.
+    """
+    best = INFINITY
+    best_hub: Optional[int] = None
+    i, i_end = 0, len(ranks_o)
+    j, j_end = 0, len(ranks_i)
+    while i < i_end and j < j_end:
+        a, b = ranks_o[i], ranks_i[j]
+        if a == b:
+            total = dists_o[i] + dists_i[j]
+            if total < best:
+                best = total
+                best_hub = a
+            i += 1
+            j += 1
+        elif a < b:
+            i += 1
+        else:
+            j += 1
+    return best, best_hub
+
+
 class _PackedSide:
     """One direction's labels (all vertices) as flat parallel buffers."""
 
@@ -110,24 +137,25 @@ class _PackedSide:
         self.dists: List[Cost] = []
         self.parents: List[int] = []
 
-    def append_label(self, entries: List[LabelEntry]) -> None:
-        for e in entries:
-            self.hub_ranks.append(e.hub_rank)
-            self.dists.append(e.dist)
-            self.parents.append(_NO_PARENT if e.parent is None else e.parent)
-        self.offsets.append(len(self.hub_ranks))
+    @classmethod
+    def from_runs(cls, ranks: Sequence[List[int]], dists: Sequence[List[Cost]],
+                  parents: Sequence[List[int]]) -> "_PackedSide":
+        """Flatten per-vertex parallel runs (one list per vertex) once."""
+        side = cls()
+        side.offsets = [0, *accumulate(map(len, ranks))]
+        side.hub_ranks = list(chain.from_iterable(ranks))
+        side.dists = list(chain.from_iterable(dists))
+        side.parents = list(chain.from_iterable(parents))
+        return side
 
     def slice(self, v: Vertex) -> Tuple[int, int]:
         return self.offsets[v], self.offsets[v + 1]
 
-    def entries(self, v: Vertex) -> List[LabelEntry]:
+    def entries(self, v: Vertex) -> List[LabelTuple]:
         lo, hi = self.slice(v)
         return [
-            LabelEntry(
-                self.hub_ranks[i],
-                self.dists[i],
-                None if self.parents[i] == _NO_PARENT else self.parents[i],
-            )
+            (self.hub_ranks[i], self.dists[i],
+             None if self.parents[i] == NO_PARENT else self.parents[i])
             for i in range(lo, hi)
         ]
 
@@ -164,31 +192,20 @@ class _PackedSide:
 
 
 class PackedLabelIndex:
-    """Array-backed 2-hop label index with the LabelIndex query surface."""
+    """Array-backed 2-hop label index over ``Lin``/``Lout`` side buffers.
+
+    For every vertex ``v`` the index keeps ``Lin(v)`` (hubs that reach
+    ``v``) and ``Lout(v)`` (hubs ``v`` reaches), each sorted by hub rank
+    and satisfying the cover property, so ``dis(s, t)`` is a merge join
+    of ``Lout(s)`` with ``Lin(t)``.  Each entry also stores the parent
+    vertex one step towards its hub, which turns witness-to-route
+    restoration into a chain of label lookups (Akiba et al. [2]).
+    """
 
     def __init__(self, order: List[Vertex], lin: _PackedSide, lout: _PackedSide):
         self._order = list(order)
         self._lin = lin
         self._lout = lout
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_index(cls, labels: LabelIndex) -> "PackedLabelIndex":
-        """Pack an object-based :class:`LabelIndex`."""
-        lin, lout = _PackedSide(), _PackedSide()
-        for v in range(labels.num_vertices):
-            lin.append_label(labels.lin(v))
-            lout.append_label(labels.lout(v))
-        return cls(labels.order, lin, lout)
-
-    def to_index(self) -> LabelIndex:
-        """Unpack back into the object representation."""
-        n = self.num_vertices
-        return LabelIndex(
-            self._order,
-            [self._lin.entries(v) for v in range(n)],
-            [self._lout.entries(v) for v in range(n)],
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -202,10 +219,12 @@ class PackedLabelIndex:
     def hub_vertex(self, hub_rank: int) -> Vertex:
         return self._order[hub_rank]
 
-    def lin(self, v: Vertex) -> List[LabelEntry]:
+    def lin(self, v: Vertex) -> List[LabelTuple]:
+        """``Lin(v)`` as ``(hub_rank, dist, parent)`` tuples."""
         return self._lin.entries(v)
 
-    def lout(self, v: Vertex) -> List[LabelEntry]:
+    def lout(self, v: Vertex) -> List[LabelTuple]:
+        """``Lout(v)`` as ``(hub_rank, dist, parent)`` tuples."""
         return self._lout.entries(v)
 
     def lin_side(self) -> _PackedSide:
@@ -276,7 +295,12 @@ class PackedLabelIndex:
         return best, best_hub
 
     def path(self, s: Vertex, t: Vertex) -> Tuple[Cost, List[Vertex]]:
-        """Path restoration identical to the unpacked index."""
+        """Restore one shortest path from ``s`` to ``t``.
+
+        Returns ``(INFINITY, [])`` when unreachable.  Pruned landmark
+        labeling guarantees each labelled vertex's parent is labelled with
+        the same hub, so the parent chains always terminate at the hub.
+        """
         if s == t:
             return 0.0, [s]
         dist, hub_rank = self.distance_with_hub(s, t)
@@ -316,16 +340,15 @@ class PackedLabelIndex:
                 f"hub rank {hub_rank} missing from packed label of {v}"
             )
         parent = side.parents[lo]
-        return None if parent == _NO_PARENT else parent
+        return None if parent == NO_PARENT else parent
 
     def restore_witness_route(
         self, witness_vertices: List[Vertex]
     ) -> Tuple[Cost, List[Vertex]]:
         """Concatenate shortest paths between consecutive witness vertices.
 
-        Same semantics as :meth:`repro.labeling.labels.LabelIndex.
-        restore_witness_route`: converts a KOSR witness into an actual
-        route (Definition 2); consecutive duplicates contribute no edges.
+        Converts a KOSR witness into an actual route (Definition 2, end
+        of Sec. IV-A); consecutive duplicates contribute no edges.
         """
         if not witness_vertices:
             return 0.0, []
@@ -386,7 +409,7 @@ def _section_bytes(code: str, values) -> bytes:
     return array(code, values).tobytes()
 
 
-def _inverted_sections(il) -> List[Tuple[str, object]]:
+def inverted_sections(il) -> List[Tuple[str, object]]:
     """The five per-category sections of one inverted index.
 
     Works for any index exposing ``as_lists()`` + ``hub_ranks`` (packed
@@ -433,7 +456,7 @@ def write_index_file(path: PathLike, labels, inverted=None) -> int:
         num_categories = len(cids)
         sections.append(("q", cids))
         for cid in cids:
-            sections.extend(_inverted_sections(inverted[cid]))
+            sections.extend(inverted_sections(inverted[cid]))
     blobs = [_section_bytes(code, values) for code, values in sections]
     table = bytearray()
     pos = _HEADER.size + _TABLE_ENTRY.size * len(sections)

@@ -1,10 +1,13 @@
-"""Packed per-category inverted label index (the query-path ``IL(Ci)``).
+"""Packed per-category inverted label index ``IL(Ci)`` (Sec. IV-A, Table V).
 
-:class:`repro.labeling.inverted.InvertedLabelIndex` stores one sorted
-Python list of ``(dist, member)`` tuples per hub — convenient for
-incremental updates, but every FindNN advance then pays a dict lookup, a
-list indexing, and a tuple unpack per step.  This module flattens a whole
-category into two parallel buffers
+For a category ``Ci`` the inverted index groups the ``Lin`` entries of
+all member vertices *by hub*: ``IL(u')`` lists ``(d_{u',m}, m)`` for
+every member ``m`` whose ``Lin(m)`` contains hub ``u'``, sorted by
+distance.  FindNN then only needs, for each hub ``u'`` of ``Lout(v)``,
+to scan ``IL(u')`` in order — a k-way merge that yields members of
+``Ci`` in non-decreasing ``dis(v, ·)`` order.
+
+This module flattens a whole category into two parallel buffers
 
 * ``dists``   — member distances, hub runs concatenated;
 * ``members`` — member vertex ids, parallel to ``dists``;
@@ -21,8 +24,7 @@ list access merely increfs the already-boxed number.  The compact
 (:mod:`repro.labeling.packed`, :mod:`repro.labeling.storage`).
 
 Construction collects every entry first and sorts each hub run once —
-O(L log L) total — mirroring the append-then-sort fix in
-:func:`repro.labeling.inverted.build_inverted_index`.
+O(L log L) total — instead of a per-entry sorted insert.
 
 Dynamic category updates (Sec. IV-C) are served by a small LSM-style
 **delta overlay** on top of the immutable base buffers: per hub rank a
@@ -44,7 +46,7 @@ from bisect import insort
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.graph.graph import Graph
-from repro.labeling.packed import PackedLabelIndex, _buffer_resident_bytes
+from repro.labeling.packed import _buffer_resident_bytes
 from repro.types import CategoryId, Cost, Vertex
 
 #: shared empty-slice sentinel for hubs absent from a category
@@ -130,6 +132,22 @@ class PackedInvertedIndex:
             slices[hub] = sl
             rank_slices[hub_ranks[hub]] = sl
         return cls(category, dists, members, slices, rank_slices, hub_ranks)
+
+    @classmethod
+    def from_sections(cls, category: CategoryId, hubs: List[Vertex],
+                      ranks: List[int], starts: List[int], dists: List[Cost],
+                      members: List[Vertex]) -> "PackedInvertedIndex":
+        """Rebuild an index from its five stored sections (no sorting).
+
+        The inverse of :func:`repro.labeling.packed.inverted_sections`: ``starts`` holds the
+        ``len(hubs) + 1`` run boundaries into ``dists``/``members``.
+        """
+        slices: Dict[Vertex, Tuple[int, int]] = {}
+        rank_slices: Dict[int, Tuple[int, int]] = {}
+        for i, (hub, rank) in enumerate(zip(hubs, ranks)):
+            slices[hub] = rank_slices[rank] = (starts[i], starts[i + 1])
+        return cls(category, dists, members, slices, rank_slices,
+                   dict(zip(hubs, ranks)))
 
     @classmethod
     def empty(cls, category: CategoryId,
@@ -327,7 +345,7 @@ class PackedInvertedIndex:
         return {hub: self.hub_list(hub) for hub in self.slices}
 
     # ------------------------------------------------------------------
-    # Table IX statistics (same surface as InvertedLabelIndex)
+    # Table IX statistics
     # ------------------------------------------------------------------
     @property
     def total_entries(self) -> int:
@@ -381,36 +399,25 @@ class PackedInvertedIndex:
 def build_packed_inverted_index(
     graph: Graph, labels, category: CategoryId
 ) -> PackedInvertedIndex:
-    """Build one category's packed ``IL(Ci)``.
+    """Build one category's packed ``IL(Ci)`` straight off ``Lin`` buffers.
 
-    ``labels`` may be a :class:`~repro.labeling.packed.PackedLabelIndex`
-    (entries read straight off the buffers) or an object
-    :class:`~repro.labeling.labels.LabelIndex`.
+    ``labels`` is a :class:`~repro.labeling.packed.PackedLabelIndex`
+    (list- or mmap-backed).
     """
     lists: Dict[Vertex, List[Tuple[Cost, Vertex]]] = {}
     hub_ranks: Dict[Vertex, int] = {}
-    if isinstance(labels, PackedLabelIndex):
-        side = labels.lin_side()
-        offsets, ranks, dists = side.offsets, side.hub_ranks, side.dists
-        order = labels.order
-        for member in sorted(graph.members(category)):
-            for i in range(offsets[member], offsets[member + 1]):
-                rank = ranks[i]
-                hub = order[rank]
-                bucket = lists.get(hub)
-                if bucket is None:
-                    bucket = lists[hub] = []
-                    hub_ranks[hub] = rank
-                bucket.append((dists[i], member))
-    else:
-        for member in sorted(graph.members(category)):
-            for entry in labels.lin(member):
-                hub = labels.hub_vertex(entry.hub_rank)
-                bucket = lists.get(hub)
-                if bucket is None:
-                    bucket = lists[hub] = []
-                    hub_ranks[hub] = entry.hub_rank
-                bucket.append((entry.dist, member))
+    side = labels.lin_side()
+    offsets, ranks, dists = side.offsets, side.hub_ranks, side.dists
+    order = labels.order
+    for member in sorted(graph.members(category)):
+        for i in range(offsets[member], offsets[member + 1]):
+            rank = ranks[i]
+            hub = order[rank]
+            bucket = lists.get(hub)
+            if bucket is None:
+                bucket = lists[hub] = []
+                hub_ranks[hub] = rank
+            bucket.append((dists[i], member))
     return PackedInvertedIndex.from_lists(category, lists, hub_ranks)
 
 

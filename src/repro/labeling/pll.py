@@ -12,7 +12,11 @@ for each vertex ``r`` in hub order:
     * a *pruned backward Dijkstra* symmetrically populates ``Lout``.
 
 The pruning test against already-built labels is what keeps label sets small
-while guaranteeing the cover property.
+while guaranteeing the cover property.  As in Akiba et al., the root's own
+label is spread into one dense array indexed by hub rank before each
+search (and cleared after it), so the test is one list index per entry of
+the probed label.  Labels grow as per-vertex parallel rank/dist/parent
+runs and are flattened into a :class:`PackedLabelIndex` once at the end.
 """
 
 from __future__ import annotations
@@ -21,33 +25,51 @@ import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph
-from repro.labeling.labels import LabelEntry, LabelIndex
 from repro.labeling.order import degree_order, validate_order
+from repro.labeling.packed import NO_PARENT, PackedLabelIndex, _PackedSide
 from repro.types import Cost, INFINITY, Vertex
 
+#: one label side under construction: per-vertex (ranks, dists, parents)
+LabelRuns = Tuple[List[List[int]], List[List[Cost]], List[List[int]]]
 
-def _pruned_dijkstra(
-    graph: Graph,
-    root: Vertex,
-    rank: int,
-    forward: bool,
-    lin: List[List[LabelEntry]],
-    lout: List[List[LabelEntry]],
-) -> None:
-    """One pruned search; ``forward`` selects the direction and target label."""
-    if forward:
-        neighbors = graph.neighbors_out
-        target_labels = lin  # hub root reaches u  -> (root, d) ∈ Lin(u)
-        root_side = {e.hub_rank: e.dist for e in lout[root]}
-        probe = lin
-    else:
-        neighbors = graph.neighbors_in
-        target_labels = lout  # u reaches hub root -> (root, d) ∈ Lout(u)
-        root_side = {e.hub_rank: e.dist for e in lin[root]}
-        probe = lout
 
+def empty_runs(n: int) -> LabelRuns:
+    """Per-vertex empty rank/dist/parent runs for ``n`` vertices."""
+    return ([[] for _ in range(n)], [[] for _ in range(n)],
+            [[] for _ in range(n)])
+
+
+def spread_root(root_side: List[Cost], runs: LabelRuns, root: Vertex) -> None:
+    """Write ``root``'s label (one side) into the dense rank array."""
+    for rank, dist in zip(runs[0][root], runs[1][root]):
+        root_side[rank] = dist
+
+
+def clear_root(root_side: List[Cost], runs: LabelRuns, root: Vertex) -> None:
+    """Reset the entries :func:`spread_root` set back to ``INFINITY``."""
+    for rank in runs[0][root]:
+        root_side[rank] = INFINITY
+
+
+def finish_labels(order: Sequence[Vertex], lin: LabelRuns,
+                  lout: LabelRuns) -> PackedLabelIndex:
+    """Flatten both sides' per-vertex runs into the packed index."""
+    return PackedLabelIndex(order, _PackedSide.from_runs(*lin),
+                            _PackedSide.from_runs(*lout))
+
+
+def _pruned_dijkstra(neighbors, root: Vertex, rank: int, root_runs: LabelRuns,
+                     runs: LabelRuns, root_side: List[Cost]) -> None:
+    """One pruned search filling ``runs`` with hub ``rank``.
+
+    ``root_runs`` is the opposite side (the root's ``Lout`` for a forward
+    search that fills ``Lin``, and vice versa); ``root_side`` is the
+    dense all-``INFINITY`` rank array the root's label is spread into.
+    """
+    ranks, dists, parents = runs
+    spread_root(root_side, root_runs, root)
     dist: Dict[Vertex, Cost] = {root: 0.0}
-    parent: Dict[Vertex, Optional[Vertex]] = {root: None}
+    parent: Dict[Vertex, int] = {root: NO_PARENT}
     heap: List[Tuple[Cost, Vertex]] = [(0.0, root)]
     settled = set()
     while heap:
@@ -56,28 +78,27 @@ def _pruned_dijkstra(
             continue
         settled.add(u)
         # Pruning test: can existing labels already certify dis <= d?
-        pruned = False
-        for e in probe[u]:
-            other = root_side.get(e.hub_rank)
-            if other is not None and other + e.dist <= d:
-                pruned = True
+        for r, du in zip(ranks[u], dists[u]):
+            if root_side[r] + du <= d:
                 break
-        if pruned:
-            continue
-        target_labels[u].append(LabelEntry(rank, d, parent[u]))
-        for v, w in neighbors(u):
-            nd = d + w
-            if v not in settled and nd < dist.get(v, INFINITY):
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
+        else:
+            ranks[u].append(rank)
+            dists[u].append(d)
+            parents[u].append(parent[u])
+            for v, w in neighbors(u):
+                nd = d + w
+                if v not in settled and nd < dist.get(v, INFINITY):
+                    dist[v] = nd
+                    parent[v] = u
+                    heapq.heappush(heap, (nd, v))
+    clear_root(root_side, root_runs, root)
 
 
 def build_pruned_landmark_labels(
     graph: Graph,
     order: Optional[Sequence[Vertex]] = None,
-) -> LabelIndex:
-    """Build a :class:`LabelIndex` over ``graph``.
+) -> PackedLabelIndex:
+    """Build a :class:`PackedLabelIndex` over ``graph``.
 
     ``order`` defaults to decreasing-degree; passing an explicit order is
     useful for tests and the ordering ablation.
@@ -87,9 +108,9 @@ def build_pruned_landmark_labels(
     else:
         order = validate_order(graph, order)
     n = graph.num_vertices
-    lin: List[List[LabelEntry]] = [[] for _ in range(n)]
-    lout: List[List[LabelEntry]] = [[] for _ in range(n)]
+    lin, lout = empty_runs(n), empty_runs(n)
+    root_side: List[Cost] = [INFINITY] * n
     for rank, root in enumerate(order):
-        _pruned_dijkstra(graph, root, rank, True, lin, lout)
-        _pruned_dijkstra(graph, root, rank, False, lin, lout)
-    return LabelIndex(order, lin, lout)
+        _pruned_dijkstra(graph.neighbors_out, root, rank, lout, lin, root_side)
+        _pruned_dijkstra(graph.neighbors_in, root, rank, lin, lout, root_side)
+    return finish_labels(order, lin, lout)

@@ -14,10 +14,17 @@ from collections import deque
 from typing import List, Optional, Sequence
 
 from repro.graph.graph import Graph
-from repro.labeling.labels import LabelEntry, LabelIndex
 from repro.labeling.order import degree_order, validate_order
-from repro.labeling.pll import build_pruned_landmark_labels
-from repro.types import Vertex
+from repro.labeling.packed import NO_PARENT, PackedLabelIndex
+from repro.labeling.pll import (
+    LabelRuns,
+    build_pruned_landmark_labels,
+    clear_root,
+    empty_runs,
+    finish_labels,
+    spread_root,
+)
+from repro.types import Cost, INFINITY, Vertex
 
 
 def graph_is_unit_weight(graph: Graph) -> bool:
@@ -25,48 +32,33 @@ def graph_is_unit_weight(graph: Graph) -> bool:
     return all(w == 1.0 for _, _, w in graph.edges())
 
 
-def _pruned_bfs(
-    graph: Graph,
-    root: Vertex,
-    rank: int,
-    forward: bool,
-    lin: List[List[LabelEntry]],
-    lout: List[List[LabelEntry]],
-) -> None:
-    if forward:
-        neighbors = graph.neighbors_out
-        target_labels = lin
-        root_side = {e.hub_rank: e.dist for e in lout[root]}
-        probe = lin
-    else:
-        neighbors = graph.neighbors_in
-        target_labels = lout
-        root_side = {e.hub_rank: e.dist for e in lin[root]}
-        probe = lout
-
-    queue = deque([(root, 0.0, None)])
+def _pruned_bfs(neighbors, root: Vertex, rank: int, root_runs: LabelRuns,
+                runs: LabelRuns, root_side: List[Cost]) -> None:
+    """The BFS counterpart of :func:`repro.labeling.pll._pruned_dijkstra`."""
+    ranks, dists, parents = runs
+    spread_root(root_side, root_runs, root)
+    queue = deque([(root, 0.0, NO_PARENT)])
     seen = {root}
     while queue:
         u, d, parent = queue.popleft()
-        pruned = False
-        for e in probe[u]:
-            other = root_side.get(e.hub_rank)
-            if other is not None and other + e.dist <= d:
-                pruned = True
+        for r, du in zip(ranks[u], dists[u]):
+            if root_side[r] + du <= d:
                 break
-        if pruned:
-            continue
-        target_labels[u].append(LabelEntry(rank, d, parent))
-        for v, _ in neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append((v, d + 1.0, u))
+        else:
+            ranks[u].append(rank)
+            dists[u].append(d)
+            parents[u].append(parent)
+            for v, _ in neighbors(u):
+                if v not in seen:
+                    seen.add(v)
+                    queue.append((v, d + 1.0, u))
+    clear_root(root_side, root_runs, root)
 
 
 def build_bfs_labels(
     graph: Graph,
     order: Optional[Sequence[Vertex]] = None,
-) -> LabelIndex:
+) -> PackedLabelIndex:
     """Pruned BFS labeling; only valid for unit-weight graphs."""
     if not graph_is_unit_weight(graph):
         raise ValueError("BFS labeling requires all edge weights to be 1")
@@ -75,18 +67,18 @@ def build_bfs_labels(
     else:
         order = validate_order(graph, order)
     n = graph.num_vertices
-    lin: List[List[LabelEntry]] = [[] for _ in range(n)]
-    lout: List[List[LabelEntry]] = [[] for _ in range(n)]
+    lin, lout = empty_runs(n), empty_runs(n)
+    root_side: List[Cost] = [INFINITY] * n
     for rank, root in enumerate(order):
-        _pruned_bfs(graph, root, rank, True, lin, lout)
-        _pruned_bfs(graph, root, rank, False, lin, lout)
-    return LabelIndex(order, lin, lout)
+        _pruned_bfs(graph.neighbors_out, root, rank, lout, lin, root_side)
+        _pruned_bfs(graph.neighbors_in, root, rank, lin, lout, root_side)
+    return finish_labels(order, lin, lout)
 
 
 def build_labels_auto(
     graph: Graph,
     order: Optional[Sequence[Vertex]] = None,
-) -> LabelIndex:
+) -> PackedLabelIndex:
     """BFS labeling on unit-weight graphs, pruned Dijkstra otherwise."""
     if graph.num_edges and graph_is_unit_weight(graph):
         return build_bfs_labels(graph, order)

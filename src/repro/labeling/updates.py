@@ -9,28 +9,24 @@ which it spells out concretely:
   ``IL(u) ∈ IL(Ci)`` — ``O(|Lin(v)| log |Ci|)``;
 * removing: the symmetric deletion.
 
-Both index backends are updatable: the object backend patches its sorted
-hub lists in place (``insort``/``remove``), while the packed backend
-stages the same ``(hub, dist, vertex)`` deltas in the per-category
-overlay of :class:`~repro.labeling.packed_inverted.PackedInvertedIndex`
-(lazily merged into the flat buffers by query cursors, compacted once
-the overlay outgrows its ``overlay_ratio``).
+Category updates stage those ``(hub, dist, vertex)`` deltas in the
+per-category overlay of
+:class:`~repro.labeling.packed_inverted.PackedInvertedIndex` (lazily
+merged into the flat buffers by query cursors, compacted once the
+overlay outgrows its ``overlay_ratio``).
 
 For structure updates we provide the honest fallback the paper's citations
-amount to for a from-scratch reproduction: rebuild the labels (and the
-affected inverted indexes) for whichever backend the caller runs.  The
-rebuild helper keeps graph, labels, and inverted indexes consistent in
-one call.
+amount to for a from-scratch reproduction: rebuild the labels and the
+inverted indexes.  The rebuild helper keeps graph, labels, and inverted
+indexes consistent in one call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 from repro.exceptions import IndexBuildError
 from repro.graph.graph import Graph
-from repro.labeling.inverted import InvertedLabelIndex, build_inverted_indexes
-from repro.labeling.labels import LabelIndex
 from repro.labeling.packed import PackedLabelIndex
 from repro.labeling.packed_inverted import (
     PackedInvertedIndex,
@@ -38,8 +34,8 @@ from repro.labeling.packed_inverted import (
 )
 from repro.types import CategoryId, Cost, Vertex
 
-#: either backend's inverted-index mapping
-InvertedMap = Dict[CategoryId, Union[InvertedLabelIndex, PackedInvertedIndex]]
+#: category id -> packed (or immutable mmap) inverted index
+InvertedMap = Dict[CategoryId, PackedInvertedIndex]
 
 
 def _check_updatable(inverted: InvertedMap) -> None:
@@ -53,11 +49,11 @@ def _check_updatable(inverted: InvertedMap) -> None:
     :func:`_materialize_if_view`).
     """
     for il in inverted.values():
-        if not (isinstance(il, (InvertedLabelIndex, PackedInvertedIndex))
+        if not (isinstance(il, PackedInvertedIndex)
                 or getattr(il, "is_mmap", False)):
             raise IndexBuildError(
-                "incremental category updates require InvertedLabelIndex or "
-                f"PackedInvertedIndex values, got {type(il).__name__!r}"
+                "incremental category updates require PackedInvertedIndex "
+                f"values, got {type(il).__name__!r}"
             )
 
 
@@ -74,24 +70,26 @@ def _materialize_if_view(inverted: InvertedMap, cid: CategoryId):
     return il
 
 
-def _new_category_index(
-    inverted: InvertedMap, labels, cid: CategoryId
-) -> Union[InvertedLabelIndex, PackedInvertedIndex]:
-    """An empty index of the same backend as its siblings (or the labels)."""
-    for il in inverted.values():
-        if isinstance(il, PackedInvertedIndex) or getattr(il, "is_mmap", False):
-            fresh = PackedInvertedIndex.empty(cid)
-            fresh.overlay_ratio = il.overlay_ratio
-            return fresh
-        return InvertedLabelIndex(cid)
-    if isinstance(labels, PackedLabelIndex):
-        return PackedInvertedIndex.empty(cid)
-    return InvertedLabelIndex(cid)
+def _new_category_index(inverted: InvertedMap,
+                        cid: CategoryId) -> PackedInvertedIndex:
+    """An empty index carrying its siblings' ``overlay_ratio``."""
+    sibling = next(iter(inverted.values()), None)
+    return PackedInvertedIndex.empty(
+        cid, sibling.overlay_ratio if sibling is not None else None)
+
+
+def _lin_deltas(labels: PackedLabelIndex, v: Vertex):
+    """``(hub, rank, dist)`` of every entry of ``Lin(v)``."""
+    side = labels.lin_side()
+    lo, hi = side.slice(v)
+    order = labels.order
+    for rank, dist in zip(side.hub_ranks[lo:hi], side.dists[lo:hi]):
+        yield order[rank], rank, dist
 
 
 def add_vertex_to_category(
     graph: Graph,
-    labels: Union[LabelIndex, PackedLabelIndex],
+    labels: PackedLabelIndex,
     inverted: InvertedMap,
     v: Vertex,
     cid: CategoryId,
@@ -103,20 +101,15 @@ def add_vertex_to_category(
     graph.assign_category(v, cid)
     il = _materialize_if_view(inverted, cid)
     if il is None:
-        il = inverted[cid] = _new_category_index(inverted, labels, cid)
-    if isinstance(il, PackedInvertedIndex):
-        for entry in labels.lin(v):
-            il.overlay_insert(labels.hub_vertex(entry.hub_rank),
-                              entry.hub_rank, entry.dist, v)
-        il.maybe_compact()
-    else:
-        for entry in labels.lin(v):
-            il.add_entry(labels.hub_vertex(entry.hub_rank), entry.dist, v)
+        il = inverted[cid] = _new_category_index(inverted, cid)
+    for hub, rank, dist in _lin_deltas(labels, v):
+        il.overlay_insert(hub, rank, dist, v)
+    il.maybe_compact()
 
 
 def remove_vertex_from_category(
     graph: Graph,
-    labels: Union[LabelIndex, PackedLabelIndex],
+    labels: PackedLabelIndex,
     inverted: InvertedMap,
     v: Vertex,
     cid: CategoryId,
@@ -129,37 +122,26 @@ def remove_vertex_from_category(
     il = _materialize_if_view(inverted, cid)
     if il is None:
         return
-    if isinstance(il, PackedInvertedIndex):
-        for entry in labels.lin(v):
-            il.overlay_remove(labels.hub_vertex(entry.hub_rank),
-                              entry.hub_rank, entry.dist, v)
-        il.maybe_compact()
-    else:
-        for entry in labels.lin(v):
-            il.remove_member(labels.hub_vertex(entry.hub_rank), entry.dist, v)
+    for hub, rank, dist in _lin_deltas(labels, v):
+        il.overlay_remove(hub, rank, dist, v)
+    il.maybe_compact()
 
 
 def rebuild_after_structure_update(
     graph: Graph,
     order: Optional[Sequence[Vertex]] = None,
-    backend: str = "object",
 ) -> tuple:
     """Rebuild labels + inverted indexes after edge insertions/removals.
 
-    Returns ``(labels, inverted)`` in the requested backend's
-    representation — packed engines get flat-buffer indexes back directly
-    instead of erroring or falling back to object ones.  The paper
-    handles structure updates with incremental label maintenance from the
-    literature; a full rebuild gives identical final state (tests assert
-    this) at higher preprocessing cost.
+    Returns ``(labels, inverted)``.  The paper handles structure updates
+    with incremental label maintenance from the literature; a full
+    rebuild gives identical final state (tests assert this) at higher
+    preprocessing cost.
     """
     from repro.labeling.pll_unweighted import build_labels_auto
 
     labels = build_labels_auto(graph, order)
-    if backend == "packed":
-        packed = PackedLabelIndex.from_index(labels)
-        return packed, build_packed_inverted_indexes(graph, packed)
-    return labels, build_inverted_indexes(graph, labels)
+    return labels, build_packed_inverted_indexes(graph, labels)
 
 
 def apply_edge_mutation(graph: Graph, u: Vertex, v: Vertex,
@@ -187,14 +169,11 @@ def update_edge(
     v: Vertex,
     weight: Optional[Cost],
     order: Optional[Sequence[Vertex]] = None,
-    backend: str = "object",
 ) -> tuple:
     """Apply one edge update (insert/change with a weight, delete with ``None``)
     and return freshly consistent ``(labels, inverted)``.
 
-    Weight changes are the paper's remove-insert pair.  ``backend``
-    selects the representation of the rebuilt indexes (see
-    :func:`rebuild_after_structure_update`).
+    Weight changes are the paper's remove-insert pair.
     """
     apply_edge_mutation(graph, u, v, weight)
-    return rebuild_after_structure_update(graph, order, backend)
+    return rebuild_after_structure_update(graph, order)

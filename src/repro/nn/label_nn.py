@@ -19,127 +19,13 @@ while advancing cursors).
 from __future__ import annotations
 
 import heapq
-from heapq import heappop, heappush, heapreplace
+from heapq import heappop, heapreplace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.labeling.inverted import InvertedLabelIndex
-from repro.labeling.labels import LabelEntry, LabelIndex
 from repro.labeling.packed import PackedLabelIndex
 from repro.labeling.packed_inverted import PackedInvertedIndex
 from repro.nn.base import NearestNeighborFinder
 from repro.types import CategoryId, Cost, INFINITY, Vertex
-
-
-class _Cursor:
-    """Merge state for one ``(source, category)`` pair."""
-
-    __slots__ = ("nl", "nq", "kv", "base", "found_set", "exhausted")
-
-    def __init__(self) -> None:
-        self.nl: List[Tuple[Vertex, Cost]] = []
-        # heap entries: (total_cost, member, hub)
-        self.nq: List[Tuple[Cost, Vertex, Vertex]] = []
-        self.kv: Dict[Vertex, int] = {}
-        self.base: Dict[Vertex, Cost] = {}
-        self.found_set = set()
-        self.exhausted = False
-
-
-class LabelNNFinder(NearestNeighborFinder):
-    """The paper's FindNN over a label index + per-category inverted indexes.
-
-    ``hub_list(category, hub)`` and ``lout(v)`` are injected as callables so
-    the same finder drives both the in-memory index and the SK-DB
-    per-query disk view.
-    """
-
-    def __init__(
-        self,
-        lout: Callable[[Vertex], List[LabelEntry]],
-        hub_vertex: Callable[[int], Vertex],
-        hub_list: Callable[[CategoryId, Vertex], List[Tuple[Cost, Vertex]]],
-        distance_func: Callable[[Vertex, Vertex], Cost],
-    ):
-        super().__init__()
-        self._lout = lout
-        self._hub_vertex = hub_vertex
-        self._hub_list = hub_list
-        self._distance = distance_func
-        self._cursors: Dict[Tuple[Vertex, CategoryId], _Cursor] = {}
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_index(
-        cls,
-        labels: LabelIndex,
-        inverted: Dict[CategoryId, InvertedLabelIndex],
-    ) -> "LabelNNFinder":
-        """Construct over the in-memory label + inverted indexes."""
-
-        def hub_list(cid: CategoryId, hub: Vertex) -> List[Tuple[Cost, Vertex]]:
-            il = inverted.get(cid)
-            return il.hub_list(hub) if il is not None else []
-
-        return cls(labels.lout, labels.hub_vertex, hub_list, labels.distance)
-
-    # ------------------------------------------------------------------
-    def find(
-        self, source: Vertex, category: CategoryId, x: int
-    ) -> Optional[Tuple[Vertex, Cost]]:
-        cursor = self._cursors.get((source, category))
-        if cursor is None:
-            cursor = _Cursor()
-            self._cursors[(source, category)] = cursor
-            self._init_cursor(cursor, source, category)
-        # NL hit: free (not counted as an executed NN query).
-        while len(cursor.nl) < x and not cursor.exhausted:
-            self.queries += 1
-            self._advance(cursor, category)
-        if x <= len(cursor.nl):
-            return cursor.nl[x - 1]
-        return None
-
-    def distance(self, s: Vertex, t: Vertex) -> Cost:
-        return self._distance(s, t)
-
-    # ------------------------------------------------------------------
-    def _init_cursor(self, cursor: _Cursor, source: Vertex, category: CategoryId) -> None:
-        """Lines 6-10 of Algorithm 3: seed NQ with each hub list's head."""
-        for entry in self._lout(source):
-            hub = self._hub_vertex(entry.hub_rank)
-            lst = self._hub_list(category, hub)
-            if lst:
-                d, member = lst[0]
-                cursor.base[hub] = entry.dist
-                cursor.kv[hub] = 1
-                heapq.heappush(cursor.nq, (entry.dist + d, member, hub))
-        if not cursor.nq:
-            cursor.exhausted = True
-
-    def _advance(self, cursor: _Cursor, category: CategoryId) -> None:
-        """Produce the next nearest neighbor into ``NL`` (lines 11-18)."""
-        while cursor.nq:
-            total, member, hub = heapq.heappop(cursor.nq)
-            self._push_next_from_hub(cursor, category, hub)
-            if member in cursor.found_set:
-                continue  # stale duplicate through another hub
-            cursor.found_set.add(member)
-            cursor.nl.append((member, total))
-            return
-        cursor.exhausted = True
-
-    def _push_next_from_hub(self, cursor: _Cursor, category: CategoryId, hub: Vertex) -> None:
-        """Advance KV[hub], skipping members already found (the do-while)."""
-        lst = self._hub_list(category, hub)
-        pos = cursor.kv[hub]
-        while pos < len(lst) and lst[pos][1] in cursor.found_set:
-            pos += 1
-        if pos < len(lst):
-            d, member = lst[pos]
-            heapq.heappush(cursor.nq, (cursor.base[hub] + d, member, hub))
-            cursor.kv[hub] = pos + 1
-        else:
-            cursor.kv[hub] = len(lst)
 
 
 class _PackedCursor:
@@ -170,20 +56,20 @@ class _PackedCursor:
 
 
 class PackedLabelNNFinder(NearestNeighborFinder):
-    """FindNN over the packed label + inverted buffers.
+    """The paper's FindNN over the packed label + inverted buffers.
 
-    Same algorithm (and identical answers, order, and executed-NN-query
-    counts — asserted by the backend-parity tests) as
-    :class:`LabelNNFinder`, but every inner-loop step is index arithmetic
-    over flat buffers: no ``LabelEntry`` objects, no per-step hub-list
-    dict lookups, no ``(dist, member)`` tuple unpacking.
+    Every inner-loop step is index arithmetic over flat buffers: no
+    per-entry objects, no per-step hub-list dict lookups, no ``(dist,
+    member)`` tuple unpacking.  Answers, order and executed-NN-query
+    counts equal a plain sort of the category by ``dis(v, ·)`` (the
+    reference-parity tests pin this).
 
     Dynamic category updates land in the inverted indexes' delta
     overlays; cursors fold any relevant deltas in at creation time
-    (see :meth:`_make_cursor`).  Like the object finder, whose cursors
-    read the live hub lists, a finder snapshots index state as of each
-    cursor's creation — apply updates between queries (the engine builds
-    a fresh finder per query), not while a finder is mid-enumeration.
+    (see :meth:`_make_cursor`).  A finder snapshots index state as of
+    each cursor's creation — apply updates between queries (the engine
+    builds a fresh finder per query), not while a finder is
+    mid-enumeration.
     """
 
     def __init__(
@@ -216,7 +102,7 @@ class PackedLabelNNFinder(NearestNeighborFinder):
         if len(nl) < x and not cursor.exhausted:
             # One count per produced neighbor plus one for the advance
             # that discovers exhaustion (it raises StopIteration after
-            # flagging the cursor), matching LabelNNFinder's accounting.
+            # flagging the cursor).
             attempts = 0
             advance = cursor.gen.__next__
             try:
@@ -392,3 +278,30 @@ class PackedLabelNNFinder(NearestNeighborFinder):
             nl_append((member, total))
             yield
         cursor.exhausted = True
+
+
+class DiskViewNNFinder(PackedLabelNNFinder):
+    """FindNN over one SK-DB per-query :class:`~repro.labeling.storage.
+    QueryLabelView` (the view holds packed runs for loaded vertices only).
+
+    The cursors and the fused FindNEN are the packed finder's own; the
+    only difference is where ``Lout(source)`` comes from —
+    :meth:`_hub_pairs` reads the view's run, which raises
+    :class:`~repro.exceptions.IndexStorageError` for a vertex the query
+    did not load — and ``dis(·, t)`` is the view's merge join.
+    """
+
+    def __init__(self, view):
+        NearestNeighborFinder.__init__(self)
+        self._labels = view
+        self._inverted = view.inverted
+        self._distance = view.distance
+        self._cursors: Dict[Tuple[Vertex, CategoryId], _PackedCursor] = {}
+
+    def _hub_pairs(self, source: Vertex) -> Tuple[List[int], List[Cost]]:
+        ranks, dists, _ = self._labels.lout(source)
+        return ranks, dists
+
+    def make_dest_distance(self, target: Vertex) -> Callable[[Vertex], Cost]:
+        distance = self._distance
+        return lambda v: distance(v, target)

@@ -298,7 +298,19 @@ async def serve(engine, host: str = "127.0.0.1", port: int = 0, *,
         conn_requests = 0
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Longer than the StreamReader's 64 KiB line limit:
+                    # the rest of the line is still unread, so the stream
+                    # cannot be resynchronised — answer once and close.
+                    if metrics.enabled:
+                        metrics.counter("repro_tcp_errors_total").inc()
+                    response = _encode_error(ValueError(
+                        "request line exceeds the 64 KiB limit"), None)
+                    writer.write(json.dumps(response).encode() + b"\n")
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 line = line.strip()

@@ -1,7 +1,7 @@
 """repro.service — the workload-serving layer between indexes and algorithms.
 
-* :mod:`repro.service.planner` — method registry; ``(method, nn_backend,
-  backend)`` -> :class:`QueryPlan`;
+* :mod:`repro.service.planner` — method registry; ``(method, nn_backend)``
+  -> :class:`QueryPlan`;
 * :mod:`repro.service.cache` — epoch-versioned :class:`SessionCache`
   with cold-equivalent counter accounting;
 * :mod:`repro.service.execution` — resource providers + the shared plan
@@ -49,7 +49,6 @@ from repro.service.cache import (
 )
 from repro.service.execution import ColdResources, WarmResources, execute_plan
 from repro.service.planner import (
-    BACKENDS,
     ExecutorSpec,
     METHODS,
     NN_BACKENDS,
@@ -61,7 +60,6 @@ from repro.service.planner import (
 from repro.service.service import BatchResult, QueryService
 
 __all__ = [
-    "BACKENDS",
     "BatchResult",
     "CacheStats",
     "ColdEquivalentFinderView",

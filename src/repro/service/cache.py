@@ -46,9 +46,13 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.labeling.storage import CategoryShardStore, QueryLabelView
+from repro.labeling.storage import (
+    CategoryShard,
+    CategoryShardStore,
+    QueryLabelView,
+)
 from repro.nn.base import NearestNeighborFinder
 from repro.types import CategoryId, Cost, Vertex
 
@@ -93,7 +97,7 @@ class ColdEquivalentFinderView(NearestNeighborFinder):
       stream able to supply ``x`` entries costs ``x - vpos`` advances;
     * a request past the end of an exhausted stream with ``avail``
       entries costs ``avail - vpos`` producing advances plus one more
-      that discovers exhaustion (matching both backends' cursors, which
+      that discovers exhaustion (matching the packed cursors, which
       count the advance that raises/flags);
     * a stream empty at creation is exhausted at creation — zero cost,
       exactly like a cold cursor over an empty category.
@@ -152,12 +156,12 @@ class ColdEquivalentFinderView(NearestNeighborFinder):
 
 
 class SharedDiskState:
-    """Warm SK-DB state: category/vertex shard payloads + merged views.
+    """Warm SK-DB state: decoded category shards + merged views.
 
     Mirrors :class:`~repro.labeling.storage.DiskLabelRepository`'s
-    per-query access pattern, but unpickles each category shard and the
-    vertex-label file at most once per epoch.  Views are cached per
-    ``(categories, target)`` — the shape batch groups share — and
+    per-query access pattern, but reads and decodes each category shard
+    and the vertex-label file at most once per epoch.  Views are cached
+    per ``(categories, target)`` — the shape batch groups share — and
     augmented with additional sources on demand.  Every query still gets
     a *fresh* finder over the view, so SK-DB counters are cold by
     construction.
@@ -165,18 +169,18 @@ class SharedDiskState:
 
     def __init__(self, store: CategoryShardStore):
         self.store = store
-        self._category_payloads: Dict[CategoryId, dict] = {}
+        self._category_payloads: Dict[CategoryId, CategoryShard] = {}
         self._vertices: Optional[dict] = None
         #: (categories, target) -> shared QueryLabelView
         self._views: Dict[Tuple[Tuple[CategoryId, ...], Vertex],
                           QueryLabelView] = {}
 
-    def _category_payload(self, cid: CategoryId) -> dict:
-        payload = self._category_payloads.get(cid)
-        if payload is None:
-            payload = self.store.read_category(cid)
-            self._category_payloads[cid] = payload
-        return payload
+    def _category_shard(self, cid: CategoryId) -> CategoryShard:
+        shard = self._category_payloads.get(cid)
+        if shard is None:
+            shard = CategoryShard(self.store.read_category(cid))
+            self._category_payloads[cid] = shard
+        return shard
 
     def _vertex_payload(self) -> dict:
         if self._vertices is None:
@@ -197,25 +201,12 @@ class SharedDiskState:
         t0 = time.perf_counter()
         view = self._views.get(key)
         if view is None:
-            lout: Dict[Vertex, List] = {}
-            lin: Dict[Vertex, List] = {}
-            il: Dict[CategoryId, Dict] = {}
+            view = QueryLabelView()
             for cid in key[0]:
-                payload = self._category_payload(cid)
-                il[cid] = payload["il"]
-                unpack = CategoryShardStore._unpack
-                for v, rows in payload["lout"].items():
-                    lout[v] = unpack(rows)
-                for v, rows in payload["lin"].items():
-                    lin[v] = unpack(rows)
-            vertices = self._vertex_payload()
-            lin[target] = CategoryShardStore._unpack(vertices["lin"][target])
-            view = QueryLabelView(vertices["order"], lout, lin, il)
+                view.add_category(cid, self._category_shard(cid))
+            view.add_target(self._vertex_payload(), target)
             self._views[key] = view
-        if source not in view._lout:
-            vertices = self._vertex_payload()
-            view._lout[source] = CategoryShardStore._unpack(
-                vertices["lout"][source])
+        view.add_source(self._vertex_payload(), source)
         return view, time.perf_counter() - t0
 
 

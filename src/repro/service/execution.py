@@ -22,11 +22,12 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.api import QueryOptions, merge_query_kwargs
+from repro.api import QueryOptions, resolve_options
 from repro.core.query import KOSRQuery
 from repro.core.stats import QueryStats
 from repro.exceptions import BudgetExceededError, QueryError
 from repro.nn.base import NearestNeighborFinder
+from repro.nn.label_nn import DiskViewNNFinder
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.service.cache import SessionCache
 from repro.service.planner import QueryPlan
@@ -47,7 +48,6 @@ class ColdResources:
     def disk_finder(self, query: KOSRQuery, stats: QueryStats):
         """A fresh SK-DB finder over a per-query disk view (paper layout)."""
         from repro.labeling.storage import DiskLabelRepository
-        from repro.nn.label_nn import LabelNNFinder
 
         store = self.engine._store
         if store is None:
@@ -56,8 +56,7 @@ class ColdResources:
         t0 = time.perf_counter()
         view = repo.load_for_query(query.categories, query.source, query.target)
         stats.index_load_time = time.perf_counter() - t0
-        return LabelNNFinder(view.lout, view.hub_vertex, view.hub_list,
-                             view.distance)
+        return DiskViewNNFinder(view)
 
 
 class WarmResources:
@@ -82,14 +81,11 @@ class WarmResources:
         return self.session.contraction_hierarchy()
 
     def disk_finder(self, query: KOSRQuery, stats: QueryStats):
-        from repro.nn.label_nn import LabelNNFinder
-
         disk = self.session.disk_state()
         view, load_seconds = disk.view_for(query.categories, query.source,
                                            query.target)
         stats.index_load_time = load_seconds
-        return LabelNNFinder(view.lout, view.hub_vertex, view.hub_list,
-                             view.distance)
+        return DiskViewNNFinder(view)
 
 
 @dataclass
@@ -121,7 +117,6 @@ def execute_plan(
     *,
     resources=None,
     on_result=None,
-    **legacy_kwargs,
 ):
     """Execute ``plan`` over ``query``; returns a
     :class:`~repro.core.engine.KOSRResult`.
@@ -134,12 +129,10 @@ def execute_plan(
     ``on_result`` streams each route as the anytime search finalises it
     (executors for all-at-end methods like GSP ignore it — the service
     layer replays their results through the callback after the run).
-    The pre-PR-4 keyword style (``budget=``, ``strict_budget=``, ...)
-    still works through the deprecation shim.
     """
     from repro.core.engine import KOSRResult
 
-    options = merge_query_kwargs(options, legacy_kwargs, "execute_plan")
+    options = resolve_options(options, "execute_plan")
     if resources is None:
         resources = ColdResources(engine)
     stats = QueryStats(method=plan.method, profile=options.profile)

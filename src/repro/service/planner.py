@@ -5,18 +5,18 @@ chain; the service layer replaces that with a small registry.  Each of the
 paper's methods registers an *executor* — a callable over an
 :class:`~repro.service.execution.ExecutionContext` — together with its
 declared resource needs (an NN finder, the contraction hierarchy, the
-SK-DB disk store).  :func:`resolve_plan` turns a ``(method, nn_backend,
-backend)`` triple into an immutable :class:`QueryPlan` that both the
-per-query facade path and the batch service execute identically.
+SK-DB disk store).  :func:`resolve_plan` turns a ``(method, nn_backend)``
+pair into an immutable :class:`QueryPlan` that both the per-query facade
+path and the batch service execute identically.
 
-This module owns the method/backend vocabulary; the engine re-exports
-``METHODS`` / ``NN_BACKENDS`` / ``BACKENDS`` for backwards compatibility.
+This module owns the method vocabulary; the engine re-exports
+``METHODS`` / ``NN_BACKENDS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 from repro.exceptions import QueryError
 
@@ -29,11 +29,6 @@ METHODS = ("KPNE", "PK", "SK", "SK-NODOM", "SK-DB", "GSP", "GSP-CH")
 #: "dij-restart" = the paper's from-scratch Dijkstra (the ``*-Dij`` curves);
 #: "dij-resume" = resumable Dijkstra cursors (ablation).
 NN_BACKENDS = ("label", "dij-restart", "dij-resume")
-
-#: Index backends: "packed" = flat parallel buffers (default, fastest,
-#: dynamic via delta overlays); "object" = per-entry LabelEntry objects
-#: (reference implementation).
-BACKENDS = ("packed", "object")
 
 
 @dataclass(frozen=True)
@@ -56,15 +51,14 @@ class ExecutorSpec:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """A resolved execution plan for one ``(method, nn_backend, backend)``.
+    """A resolved execution plan for one ``(method, nn_backend)``.
 
-    Plans are value objects: the same triple always resolves to an equal
+    Plans are value objects: the same pair always resolves to an equal
     plan, so they can key caches and be shared across a batch.
     """
 
     method: str
     nn_backend: str
-    backend: str
     spec: ExecutorSpec
 
 
@@ -103,36 +97,20 @@ def _ensure_registered() -> None:
         import repro.service.executors  # noqa: F401
 
 
-def check_backend(backend: str) -> None:
-    """Validate an index-backend name (shared with engine construction)."""
-    if backend not in BACKENDS:
-        raise QueryError(
-            f"unknown index backend {backend!r}; choose from {BACKENDS}"
-        )
+def resolve_plan(method: str, nn_backend: str = "label") -> QueryPlan:
+    """Resolve ``(method, nn_backend)`` into a :class:`QueryPlan`.
 
-
-def resolve_plan(
-    method: str, nn_backend: str = "label", backend: str = "packed"
-) -> QueryPlan:
-    """Resolve ``(method, nn_backend, backend)`` into a :class:`QueryPlan`.
-
-    Raises :class:`~repro.exceptions.QueryError` on an unknown method or
-    index backend.  ``nn_backend`` is validated only for methods that
-    declare ``needs_finder`` (GSP and friends ignore the oracle axis,
-    matching the engine's historical behaviour).
+    Raises :class:`~repro.exceptions.QueryError` on an unknown method.
+    ``nn_backend`` is validated only for methods that declare
+    ``needs_finder`` (GSP and friends ignore the oracle axis, matching the
+    engine's historical behaviour).
     """
     _ensure_registered()
     spec = _REGISTRY.get(method)
     if spec is None:
         raise QueryError(f"unknown method {method!r}; choose from {METHODS}")
-    check_backend(backend)
     if spec.needs_finder and nn_backend not in NN_BACKENDS:
         raise QueryError(
             f"unknown NN backend {nn_backend!r}; choose from {NN_BACKENDS}"
         )
-    return QueryPlan(method=method, nn_backend=nn_backend, backend=backend,
-                     spec=spec)
-
-
-#: key type for plan caches
-PlanKey = Tuple[str, str, str]
+    return QueryPlan(method=method, nn_backend=nn_backend, spec=spec)

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api import QueryOptions, merge_query_kwargs
+from repro.api import QueryOptions, resolve_options
 from repro.core.query import KOSRQuery
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.service.cache import SessionCache
@@ -96,11 +96,11 @@ class QueryService:
 
     # ------------------------------------------------------------------
     def plan(self, method: str, nn_backend: str = "label") -> QueryPlan:
-        """Resolve (and memoise) the plan for this engine's backend."""
+        """Resolve (and memoise) the plan of ``(method, nn_backend)``."""
         key = (method, nn_backend)
         plan = self._plans.get(key)
         if plan is None:
-            plan = resolve_plan(method, nn_backend, self.engine.backend)
+            plan = resolve_plan(method, nn_backend)
             self._plans[key] = plan
         return plan
 
@@ -110,18 +110,15 @@ class QueryService:
         options: Optional[QueryOptions] = None,
         *,
         session: Optional[SessionCache] = None,
-        **legacy_kwargs,
     ):
         """Answer one query on the warm service path.
 
         Identical request/response contract to ``KOSREngine.run`` (a
-        :class:`~repro.api.QueryOptions`, or the deprecated keyword shim)
-        except that finders, ``dis(·, t)`` kernels, the CH, and SK-DB
+        :class:`~repro.api.QueryOptions`) except that finders, ``dis(·, t)`` kernels, the CH, and SK-DB
         views are reused from the session cache when the index epoch
         allows it.
         """
-        options = merge_query_kwargs(options, legacy_kwargs,
-                                     "QueryService.run")
+        options = resolve_options(options, "QueryService.run")
         session = session if session is not None else self.session
         session.validate()
         result = execute_plan(
@@ -140,7 +137,6 @@ class QueryService:
         *,
         session: Optional[SessionCache] = None,
         on_route=None,
-        **legacy_kwargs,
     ):
         """Answer one query, streaming routes as the search finalises them.
 
@@ -155,8 +151,7 @@ class QueryService:
         restoration (``options.restore_routes``) happens only after the
         run, so in-flight records carry the witness and cost.
         """
-        options = merge_query_kwargs(options, legacy_kwargs,
-                                     "QueryService.run_stream")
+        options = resolve_options(options, "QueryService.run_stream")
         session = session if session is not None else self.session
         session.validate()
         emitted = 0
@@ -198,19 +193,16 @@ class QueryService:
         options: Optional[QueryOptions] = None,
         *,
         max_workers: Optional[int] = None,
-        **legacy_kwargs,
     ) -> BatchResult:
         """Execute a workload, sharing warm state between groupmates.
 
-        ``options`` applies to every query of the batch (deprecated
-        keyword shim as elsewhere).  Results come back aligned with the
+        ``options`` applies to every query of the batch.  Results come back aligned with the
         input order regardless of the grouping.  With ``max_workers`` > 1
         independent groups run concurrently, each on its own isolated
         session; the default is sequential execution over one shared
         session, which maximises cross-group finder reuse.
         """
-        options = merge_query_kwargs(options, legacy_kwargs,
-                                     "QueryService.run_batch")
+        options = resolve_options(options, "QueryService.run_batch")
         queries = list(queries)
         groups = self.group_queries(queries)
         results: List = [None] * len(queries)

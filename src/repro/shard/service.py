@@ -52,8 +52,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.api import DEFAULT_OPTIONS, QueryOptions, QueryRequest, \
-    merge_query_kwargs
+from repro.api import QueryOptions, QueryRequest, resolve_options
 from repro.core.query import KOSRQuery, make_query
 from repro.exceptions import QueryError, ShardError
 from repro.obs.metrics import REGISTRY as _METRICS, merge_snapshots
@@ -84,15 +83,13 @@ class ShardedQueryService:
     open+mmap instead of any index build, and the whole fleet shares a
     single physical index through the OS page cache.  ``index_path``
     attaches a pre-saved file (``KOSREngine.save_index`` / the CLI's
-    ``index build``) instead, skipping the parent build too.  Packed
-    backend only.
+    ``index build``) instead, skipping the parent build too.
 
     Use as a context manager or call :meth:`close`; workers are daemonic,
     so they can never outlive the parent even on an unclean exit.
     """
 
     def __init__(self, graph, num_shards: int, labels=None,
-                 backend: str = "packed",
                  overlay_ratio: Optional[float] = None,
                  max_dest_kernels: Optional[int] = None,
                  max_finders: Optional[int] = None,
@@ -107,7 +104,6 @@ class ShardedQueryService:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.graph = graph
-        self.backend = backend
         self.router = CategoryShardRouter(num_shards)
         self.timeout_s = timeout_s
         self._rr = itertools.count()
@@ -147,27 +143,19 @@ class ShardedQueryService:
         self.index_path: Optional[str] = None
         if index_path is not None:
             mmap_index = True
-        if mmap_index and backend != "packed":
-            raise QueryError(
-                f"mmap index serving requires the packed backend, not "
-                f"{backend!r}")
         if mmap_index and index_path is None:
             # Build-once/attach-many: the parent builds the full index
             # (labels + every category's inverted sections), saves it as
             # one RPLI file, and every worker attaches that file instead
             # of rebuilding — spawn is an open+mmap and the OS page
             # cache holds a single physical index for the whole fleet.
-            from repro.labeling.labels import LabelIndex
-            from repro.labeling.packed import (PackedLabelIndex,
-                                               write_index_file)
+            from repro.labeling.packed import write_index_file
             from repro.labeling.packed_inverted import \
                 build_packed_inverted_indexes
             from repro.labeling.pll_unweighted import build_labels_auto
 
             if labels is None:
                 labels = build_labels_auto(graph)
-            if isinstance(labels, LabelIndex):
-                labels = PackedLabelIndex.from_index(labels)
             inverted = build_packed_inverted_indexes(graph, labels)
             fd, tmp = tempfile.mkstemp(prefix="repro-index-",
                                        suffix=".rpli")
@@ -200,12 +188,6 @@ class ShardedQueryService:
             from repro.labeling.pll_unweighted import build_labels_auto
 
             labels = build_labels_auto(graph)
-        if backend == "packed" and labels is not None:
-            from repro.labeling.labels import LabelIndex
-            from repro.labeling.packed import PackedLabelIndex
-
-            if isinstance(labels, LabelIndex):
-                labels = PackedLabelIndex.from_index(labels)
         self.labels = labels
         # mmap workers attach the file themselves: ship them the path,
         # not the (unpicklable, and pointlessly large) mapped labels.
@@ -226,7 +208,7 @@ class ShardedQueryService:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=worker_main,
-                args=(child_conn, graph, worker_labels, owned, backend,
+                args=(child_conn, graph, worker_labels, owned,
                       overlay_ratio, max_dest_kernels, max_finders,
                       self.index_path, self._metrics_workers, shard,
                       self._fault_injection.get(shard)),
@@ -287,7 +269,6 @@ class ShardedQueryService:
         the donor engine's indexes behind its back.  The labels are
         shared as-is — they are topology-only and read-only here.
         """
-        kwargs.setdefault("backend", engine.backend)
         kwargs.setdefault("overlay_ratio", engine._overlay_ratio)
         return cls(engine.graph.copy(), num_shards, labels=engine.labels,
                    **kwargs)
@@ -447,7 +428,7 @@ class ShardedQueryService:
         replacement = self._ctx.Process(
             target=worker_main,
             args=(child_conn, self.graph, worker_labels, owned,
-                  self.backend, self._overlay_ratio,
+                  self._overlay_ratio,
                   self._max_dest_kernels, self._max_finders,
                   self.index_path, self._metrics_workers, shard, None),
             name=f"repro-shard-{shard}",
@@ -476,7 +457,7 @@ class ShardedQueryService:
         return make_query(self.graph, source, target, categories, k)
 
     def plan(self, method: str, nn_backend: str = "label") -> QueryPlan:
-        """Resolve (and memoise) the plan for this fleet's backend.
+        """Resolve (and memoise) the plan of ``(method, nn_backend)``.
 
         :class:`QueryService` signature compatibility — the async front
         door's plan-aware admission consults the resolved plan's declared
@@ -485,7 +466,7 @@ class ShardedQueryService:
         key = (method, nn_backend)
         plan = self._plans.get(key)
         if plan is None:
-            plan = resolve_plan(method, nn_backend, self.backend)
+            plan = resolve_plan(method, nn_backend)
             self._plans[key] = plan
         return plan
 
@@ -493,12 +474,11 @@ class ShardedQueryService:
                    options: QueryOptions) -> List[int]:
         """The shard(s) that will serve this request, primary first.
 
-        Resolves the plan (validating method / NN backend / index
-        backend) and reads its declared needs: finder-free plans route
+        Resolves the plan (validating method / NN backend) and reads its declared needs: finder-free plans route
         round-robin, finder plans route to the owners of the query's
         categories.  SK-DB is rejected — workers hold no disk store.
         """
-        plan = resolve_plan(options.method, options.nn_backend, self.backend)
+        plan = resolve_plan(options.method, options.nn_backend)
         if plan.spec.needs_disk:
             raise QueryError(
                 "SK-DB is not supported in sharded serving: worker shards "
@@ -514,22 +494,21 @@ class ShardedQueryService:
 
     def run(self, request: Union[QueryRequest, KOSRQuery],
             options: Optional[QueryOptions] = None, *,
-            session=None, **legacy_kwargs):
+            session=None):
         """Answer one request; returns a ``KOSRResult``.
 
-        Accepts a :class:`QueryRequest` or a bare query plus ``options``
-        (deprecated keyword shim as elsewhere).  ``session`` is accepted
+        Accepts a :class:`QueryRequest` or a bare query plus ``options``.
+        ``session`` is accepted
         for :class:`QueryService` signature compatibility and ignored —
         warm state lives in the workers' own sessions.
         """
         if isinstance(request, QueryRequest):
             query, opts = request.query, request.options
-            if options is not None or legacy_kwargs:
+            if options is not None:
                 raise TypeError("pass options inside the QueryRequest")
         else:
             query = request
-            opts = merge_query_kwargs(options, legacy_kwargs,
-                                      "ShardedQueryService.run")
+            opts = resolve_options(options, "ShardedQueryService.run")
         return self._run_resolved(query, opts, self.owners_for(query, opts))
 
     def _ensure_fanout_pool(self):
@@ -576,7 +555,7 @@ class ShardedQueryService:
 
     def run_stream(self, request: Union[QueryRequest, KOSRQuery],
                    options: Optional[QueryOptions] = None, *,
-                   session=None, on_route=None, **legacy_kwargs):
+                   session=None, on_route=None):
         """Answer one request, streaming routes as the worker surfaces them.
 
         Single-owner requests stream *live*: the worker emits one interim
@@ -590,12 +569,11 @@ class ShardedQueryService:
         """
         if isinstance(request, QueryRequest):
             query, opts = request.query, request.options
-            if options is not None or legacy_kwargs:
+            if options is not None:
                 raise TypeError("pass options inside the QueryRequest")
         else:
             query = request
-            opts = merge_query_kwargs(options, legacy_kwargs,
-                                      "ShardedQueryService.run_stream")
+            opts = resolve_options(options, "ShardedQueryService.run_stream")
         owners = self.owners_for(query, opts)
         if on_route is None:
             return self._run_resolved(query, opts, owners)
@@ -611,8 +589,7 @@ class ShardedQueryService:
 
     def run_batch(self, queries: Sequence[KOSRQuery],
                   options: Optional[QueryOptions] = None, *,
-                  max_workers: Optional[int] = None,
-                  **legacy_kwargs) -> BatchResult:
+                  max_workers: Optional[int] = None) -> BatchResult:
         """Execute a workload across the shards; results in input order.
 
         Queries are bucketed by primary owner and each bucket runs on its
@@ -623,8 +600,7 @@ class ShardedQueryService:
         ``cache_stats`` reports this batch's contribution summed over the
         workers' sessions, like the unsharded batch path.
         """
-        options = merge_query_kwargs(options, legacy_kwargs,
-                                     "ShardedQueryService.run_batch")
+        options = resolve_options(options, "ShardedQueryService.run_batch")
         queries = list(queries)
         # Ownership is resolved exactly once per query: the bucket both
         # places the query on a dispatch thread and is what executes it
@@ -824,8 +800,6 @@ class ShardedQueryService:
             raise QueryError(
                 "update_edge requires a fleet with labels; this one was "
                 "built with build_labels=False (topology-only)")
-        from repro.labeling.labels import LabelIndex
-        from repro.labeling.packed import PackedLabelIndex
         from repro.labeling.pll_unweighted import build_labels_auto
         from repro.labeling.updates import apply_edge_mutation
 
@@ -838,8 +812,6 @@ class ShardedQueryService:
             work = self.graph.copy()
             apply_edge_mutation(work, u, v, weight)
             labels = build_labels_auto(work, order)
-            if self.backend == "packed" and isinstance(labels, LabelIndex):
-                labels = PackedLabelIndex.from_index(labels)
             fence = self._epoch + 1
             # Phase 2: prepare (recoverable, abortable).
             try:

@@ -90,7 +90,7 @@ def proc_uss_bytes() -> int:
         return 0
 
 
-def _build_shard_engine(graph, labels, owned: List[CategoryId], backend: str,
+def _build_shard_engine(graph, labels, owned: List[CategoryId],
                         overlay_ratio: Optional[float],
                         index_path: Optional[str] = None):
     """An engine whose inverted indexes cover only ``owned`` categories.
@@ -107,9 +107,6 @@ def _build_shard_engine(graph, labels, owned: List[CategoryId], backend: str,
     plans before they reach a worker.
     """
     from repro.core.engine import KOSREngine
-    from repro.labeling.inverted import build_inverted_index
-    from repro.labeling.labels import LabelIndex
-    from repro.labeling.packed import PackedLabelIndex
     from repro.labeling.packed_inverted import build_packed_inverted_index
 
     if index_path is not None:
@@ -124,37 +121,28 @@ def _build_shard_engine(graph, labels, owned: List[CategoryId], backend: str,
             else:
                 inverted[cid] = build_packed_inverted_index(
                     graph, mmap_labels, cid)
-        engine = KOSREngine(graph, mmap_labels, inverted, backend="packed")
+        engine = KOSREngine(graph, mmap_labels, inverted)
         engine._overlay_ratio = overlay_ratio
         engine._index_file = index_file
         KOSREngine._apply_overlay_ratio(inverted, overlay_ratio)
         return engine
     if labels is None:
-        engine = KOSREngine(graph, backend=backend)
+        engine = KOSREngine(graph)
         engine.inverted = {}
         engine._overlay_ratio = overlay_ratio
         return engine
-    if backend == "packed" and isinstance(labels, LabelIndex):
-        labels = PackedLabelIndex.from_index(labels)
-    elif backend == "object" and isinstance(labels, PackedLabelIndex):
-        labels = labels.to_index()
-    if backend == "packed":
-        inverted = {cid: build_packed_inverted_index(graph, labels, cid)
-                    for cid in owned}
-    else:
-        inverted = {cid: build_inverted_index(graph, labels, cid)
-                    for cid in owned}
-    engine = KOSREngine(graph, labels, inverted, backend=backend)
+    inverted = {cid: build_packed_inverted_index(graph, labels, cid)
+                for cid in owned}
+    engine = KOSREngine(graph, labels, inverted)
     engine._overlay_ratio = overlay_ratio
-    if backend == "packed":
-        KOSREngine._apply_overlay_ratio(inverted, overlay_ratio)
+    KOSREngine._apply_overlay_ratio(inverted, overlay_ratio)
     return engine
 
 
 class _ShardWorker:
     """Message loop state for one worker process."""
 
-    def __init__(self, graph, labels, owned: List[CategoryId], backend: str,
+    def __init__(self, graph, labels, owned: List[CategoryId],
                  overlay_ratio: Optional[float],
                  max_dest_kernels: Optional[int],
                  max_finders: Optional[int],
@@ -164,7 +152,7 @@ class _ShardWorker:
 
         self.shard = shard
         self.owned = list(owned)
-        self.engine = _build_shard_engine(graph, labels, owned, backend,
+        self.engine = _build_shard_engine(graph, labels, owned,
                                           overlay_ratio, index_path)
         self.service = QueryService(self.engine,
                                     max_dest_kernels=max_dest_kernels,
@@ -184,7 +172,6 @@ class _ShardWorker:
     # ------------------------------------------------------------------
     def ensure_categories(self, categories) -> None:
         """Fault in inverted indexes this query needs but the shard lacks."""
-        from repro.labeling.inverted import build_inverted_index
         from repro.labeling.packed_inverted import build_packed_inverted_index
 
         engine = self.engine
@@ -204,15 +191,11 @@ class _ShardWorker:
                 # of rebuilding — valid only while no update has touched
                 # the category since the file was written.
                 il = index_file.inverted_view(cid)
-                if engine._overlay_ratio is not None:
-                    il.overlay_ratio = engine._overlay_ratio
-            elif engine.backend == "packed":
+            else:
                 il = build_packed_inverted_index(engine.graph, engine.labels,
                                                  cid)
-                if engine._overlay_ratio is not None:
-                    il.overlay_ratio = engine._overlay_ratio
-            else:
-                il = build_inverted_index(engine.graph, engine.labels, cid)
+            if engine._overlay_ratio is not None:
+                il.overlay_ratio = engine._overlay_ratio
             engine.inverted[cid] = il
 
     def run_query(self, query: KOSRQuery, options: QueryOptions):
@@ -303,9 +286,6 @@ class _ShardWorker:
         the prepare keep answering from the old index.
         """
         from repro.core.engine import KOSREngine
-        from repro.labeling.inverted import build_inverted_index
-        from repro.labeling.labels import LabelIndex
-        from repro.labeling.packed import PackedLabelIndex
         from repro.labeling.packed_inverted import build_packed_inverted_index
 
         engine = self.engine
@@ -317,17 +297,9 @@ class _ShardWorker:
                 "(build_labels=False); edge updates cannot be staged")
         graph = engine.graph.copy()
         _updates.apply_edge_mutation(graph, u, v, weight)
-        if engine.backend == "packed":
-            if isinstance(labels, LabelIndex):
-                labels = PackedLabelIndex.from_index(labels)
-            inverted = {cid: build_packed_inverted_index(graph, labels, cid)
-                        for cid in engine.inverted}
-            KOSREngine._apply_overlay_ratio(inverted, engine._overlay_ratio)
-        else:
-            if isinstance(labels, PackedLabelIndex):
-                labels = labels.to_index()
-            inverted = {cid: build_inverted_index(graph, labels, cid)
-                        for cid in engine.inverted}
+        inverted = {cid: build_packed_inverted_index(graph, labels, cid)
+                    for cid in engine.inverted}
+        KOSREngine._apply_overlay_ratio(inverted, engine._overlay_ratio)
         self._staged = (fence, graph, labels, inverted)
         return fence
 
@@ -480,7 +452,7 @@ def _maybe_fault(fault: Optional[dict], kind: str, phase: str) -> None:
         os._exit(1)
 
 
-def worker_main(conn, graph, labels, owned, backend, overlay_ratio,
+def worker_main(conn, graph, labels, owned, overlay_ratio,
                 max_dest_kernels, max_finders, index_path=None,
                 metrics_enabled: bool = False, shard: int = 0,
                 fault: Optional[dict] = None) -> None:
@@ -511,7 +483,7 @@ def worker_main(conn, graph, labels, owned, backend, overlay_ratio,
         REGISTRY.enable()
     fault = dict(fault) if fault else None
     try:
-        worker = _ShardWorker(graph, labels, owned, backend, overlay_ratio,
+        worker = _ShardWorker(graph, labels, owned, overlay_ratio,
                               max_dest_kernels, max_finders, index_path,
                               shard)
     except BaseException as exc:  # startup failure: report, then exit

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from repro import KOSREngine, KOSRQuery, brute_force_kosr, make_query
+from repro import (
+    KOSREngine,
+    KOSRQuery,
+    QueryOptions,
+    brute_force_kosr,
+    make_query,
+)
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import paper_figure1_graph, vertex
@@ -29,7 +35,7 @@ class TestAgreementWithBruteForce:
                        [rng.randrange(3) for _ in range(2)], 5)
         expected = [r.cost for r in brute_force_kosr(g, q)]
         for method in ALL_METHODS:
-            got = engine.run(q, method=method).costs
+            got = engine.run(q, QueryOptions(method=method)).costs
             assert got == pytest.approx(expected), method
 
     @pytest.mark.parametrize("nn_backend", ["label", "dij-restart", "dij-resume"])
@@ -37,13 +43,13 @@ class TestAgreementWithBruteForce:
         g, engine = build_case(99)
         q = make_query(g, 0, 17, [0, 1, 2], 4)
         expected = [r.cost for r in brute_force_kosr(g, q)]
-        got = engine.run(q, method="PK", nn_backend=nn_backend).costs
+        got = engine.run(q, QueryOptions(method="PK", nn_backend=nn_backend)).costs
         assert got == pytest.approx(expected)
 
     def test_results_sorted_and_distinct(self):
         g, engine = build_case(7)
         q = make_query(g, 1, 20, [0, 1], 8)
-        res = engine.run(q, method="SK")
+        res = engine.run(q, QueryOptions(method="SK"))
         assert is_strictly_sorted(res.costs)
         assert len(set(res.witnesses)) == len(res.witnesses)
 
@@ -55,14 +61,14 @@ class TestEdgeCases:
         engine = KOSREngine.build(g)
         for method in ALL_METHODS:
             q = KOSRQuery(0, lonely, (0,), 3)
-            assert engine.run(q, method=method).results == []
+            assert engine.run(q, QueryOptions(method=method)).results == []
 
     def test_k_exceeds_feasible_routes(self):
         g, engine = build_case(11, ncat=2, size=3)
         q = make_query(g, 0, 5, [0, 1], 50)
         expected = [r.cost for r in brute_force_kosr(g, q)]
         for method in ALL_METHODS:
-            got = engine.run(q, method=method).costs
+            got = engine.run(q, QueryOptions(method=method)).costs
             assert got == pytest.approx(expected), method
             assert len(got) <= 9
 
@@ -71,7 +77,8 @@ class TestEdgeCases:
         q = make_query(g, 4, 4, [0], 3)
         expected = [r.cost for r in brute_force_kosr(g, q)]
         for method in ALL_METHODS:
-            assert engine.run(q, method=method).costs == pytest.approx(expected)
+            result = engine.run(q, QueryOptions(method=method))
+            assert result.costs == pytest.approx(expected)
 
     def test_source_is_category_member(self):
         g, engine = build_case(17)
@@ -79,21 +86,24 @@ class TestEdgeCases:
         q = make_query(g, member, 3, [0], 3)
         expected = [r.cost for r in brute_force_kosr(g, q)]
         for method in ALL_METHODS:
-            assert engine.run(q, method=method).costs == pytest.approx(expected)
+            result = engine.run(q, QueryOptions(method=method))
+            assert result.costs == pytest.approx(expected)
 
     def test_repeated_categories_in_sequence(self):
         g, engine = build_case(19)
         q = make_query(g, 0, 9, [1, 1, 1], 4)
         expected = [r.cost for r in brute_force_kosr(g, q)]
         for method in ALL_METHODS:
-            assert engine.run(q, method=method).costs == pytest.approx(expected)
+            result = engine.run(q, QueryOptions(method=method))
+            assert result.costs == pytest.approx(expected)
 
     def test_long_category_sequence(self):
         g, engine = build_case(23, ncat=4, size=4)
         q = make_query(g, 0, 11, [0, 1, 2, 3, 0], 3)
         expected = [r.cost for r in brute_force_kosr(g, q)]
         for method in ("PK", "SK"):
-            assert engine.run(q, method=method).costs == pytest.approx(expected)
+            result = engine.run(q, QueryOptions(method=method))
+            assert result.costs == pytest.approx(expected)
 
     def test_unweighted_graph_variant(self):
         g, _ = build_case(29)
@@ -102,19 +112,20 @@ class TestEdgeCases:
         q = make_query(g, 0, 7, [0, 1], 4)
         expected = [r.cost for r in brute_force_kosr(g, q)]
         for method in ALL_METHODS:
-            assert engine.run(q, method=method).costs == pytest.approx(expected)
+            result = engine.run(q, QueryOptions(method=method))
+            assert result.costs == pytest.approx(expected)
 
     def test_budget_marks_incomplete(self):
         g, engine = build_case(31)
         q = make_query(g, 0, 9, [0, 1, 2], 10)
-        res = engine.run(q, method="KPNE", budget=3)
+        res = engine.run(q, QueryOptions(method="KPNE", budget=3))
         assert not res.stats.completed
         assert res.stats.examined_routes <= 4
 
     def test_time_budget_marks_incomplete(self):
         g, engine = build_case(37)
         q = make_query(g, 0, 9, [0, 1, 2], 10)
-        res = engine.run(q, method="KPNE", time_budget_s=0.0)
+        res = engine.run(q, QueryOptions(method="KPNE", time_budget_s=0.0))
         assert not res.stats.completed
 
 
@@ -126,41 +137,41 @@ class TestStatistics:
         # routes) from masking the reduction.
         g, engine = build_case(41, ncat=3, size=8)
         q = make_query(g, 0, 15, [0, 1, 2, 0], 2)
-        kp = engine.run(q, method="KPNE").stats
-        pk = engine.run(q, method="PK").stats
+        kp = engine.run(q, QueryOptions(method="KPNE")).stats
+        pk = engine.run(q, QueryOptions(method="PK")).stats
         assert pk.examined_routes <= kp.examined_routes
         assert pk.dominated_routes > 0
 
     def test_heuristic_reduces_examined(self):
         g, engine = build_case(43, ncat=3, size=8)
         q = make_query(g, 0, 22, [0, 1, 2], 5)
-        pk = engine.run(q, method="PK").stats.examined_routes
-        sk = engine.run(q, method="SK").stats.examined_routes
+        pk = engine.run(q, QueryOptions(method="PK")).stats.examined_routes
+        sk = engine.run(q, QueryOptions(method="SK")).stats.examined_routes
         assert sk <= pk
 
     def test_per_level_counts_sum_to_examined(self):
         g, engine = build_case(47)
         q = make_query(g, 0, 9, [0, 1], 5)
-        st = engine.run(q, method="SK").stats
+        st = engine.run(q, QueryOptions(method="SK")).stats
         assert sum(st.per_level_examined) == st.examined_routes
 
     def test_nn_queries_counted(self):
         g, engine = build_case(53)
         q = make_query(g, 0, 9, [0, 1], 3)
-        st = engine.run(q, method="PK").stats
+        st = engine.run(q, QueryOptions(method="PK")).stats
         assert st.nn_queries > 0
 
     def test_generated_at_least_examined_results(self):
         g, engine = build_case(59)
         q = make_query(g, 0, 9, [0, 1], 3)
-        st = engine.run(q, method="PK").stats
+        st = engine.run(q, QueryOptions(method="PK")).stats
         assert st.generated_routes >= st.results_found
         assert st.max_queue_size >= 1
 
     def test_timing_fields_populated(self):
         g, engine = build_case(61)
         q = make_query(g, 0, 9, [0, 1], 3)
-        st = engine.run(q, method="SK").stats
+        st = engine.run(q, QueryOptions(method="SK")).stats
         assert st.total_time > 0
         assert st.nn_time >= 0
         assert st.estimation_time >= 0

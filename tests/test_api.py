@@ -1,11 +1,11 @@
-"""The typed request/response API: QueryOptions, QueryRequest, shims.
+"""The typed request/response API: QueryOptions, QueryRequest.
 
-Pins the PR 4 redesign contracts:
+Pins the redesign contracts:
 
 * options are frozen value objects with the defaults defined once;
-* every entry point accepts ``options=`` and produces identical results
-  to the deprecated keyword style (which must warn, exactly once per
-  call site, and reject unknown keywords);
+* every entry point takes its options as one ``QueryOptions``; option
+  keywords (the removed pre-``QueryOptions`` style) and a bare method
+  string raise ``TypeError``;
 * the historical ``engine.query`` drift — ``strict_budget`` silently
   dropped on the way to ``run`` — is fixed and structurally impossible
   (both paths build the same ``QueryOptions``);
@@ -26,7 +26,7 @@ from repro import (
     QueryService,
     make_query,
 )
-from repro.api import DEFAULT_OPTIONS, merge_query_kwargs
+from repro.api import DEFAULT_OPTIONS
 from repro.exceptions import QueryError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
@@ -70,9 +70,9 @@ class TestQueryOptions:
 
     def test_plan_for_validates_vocabulary(self):
         with pytest.raises(QueryError, match="unknown method"):
-            QueryOptions(method="NOPE").plan_for("packed")
-        plan = QueryOptions(method="PK").plan_for("packed")
-        assert plan.method == "PK" and plan.backend == "packed"
+            QueryOptions(method="NOPE").plan()
+        plan = QueryOptions(method="PK").plan()
+        assert plan.method == "PK" and plan.nn_backend == "label"
 
 
 class TestQueryRequest:
@@ -100,12 +100,21 @@ class TestQueryRequest:
 
 
 class TestKwargsShim:
-    def test_run_kwargs_warn_and_match_options_path(self, engine):
+    """The keyword shim is gone: option keywords are a TypeError."""
+
+    def test_legacy_keywords_raise_type_error(self, engine):
+        from repro.service.execution import execute_plan
+
         q = make_query(engine.graph, 0, 30, [0, 1], k=2)
-        with pytest.warns(DeprecationWarning, match="KOSREngine.run"):
-            legacy = engine.run(q, method="PK", budget=1000)
-        typed = engine.run(q, QueryOptions(method="PK", budget=1000))
-        assert_same_outcome(legacy, typed)
+        service = QueryService(engine)
+        for call in (lambda: engine.run(q, method="PK"),
+                     lambda: service.run(q, method="SK"),
+                     lambda: service.run_stream(q, method="SK"),
+                     lambda: service.run_batch([q], method="SK"),
+                     lambda: execute_plan(engine, QueryOptions().plan(), q,
+                                          budget=5)):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                call()
 
     def test_options_path_does_not_warn(self, engine):
         q = make_query(engine.graph, 0, 30, [0], k=1)
@@ -128,35 +137,12 @@ class TestKwargsShim:
         with pytest.raises(TypeError, match="QueryOptions"):
             engine.service.run(q, "PK")
 
-    def test_service_shims(self, engine):
-        q = make_query(engine.graph, 0, 30, [0, 1], k=2)
-        service = QueryService(engine)
-        with pytest.warns(DeprecationWarning, match="QueryService.run"):
-            legacy = service.run(q, method="SK")
-        typed = service.run(q, QueryOptions())
-        assert_same_outcome(legacy, typed)
-        with pytest.warns(DeprecationWarning, match="run_batch"):
-            batch = service.run_batch([q], method="SK")
-        assert_same_outcome(batch.results[0],
-                            service.run_batch([q], QueryOptions()).results[0])
-
-    def test_kwargs_layer_over_explicit_options(self, engine):
-        q = make_query(engine.graph, 0, 30, [0], k=1)
-        with pytest.warns(DeprecationWarning):
-            result = engine.run(q, QueryOptions(method="PK"), budget=500)
-        assert result.stats.method == "PK"  # base option survives the merge
-
     def test_query_keywords_layer_over_options_too(self, engine):
         """query(..., options=..., budget=1) must not drop the keyword."""
         with pytest.raises(BudgetExceededError):
             engine.query(0, engine.graph.num_vertices - 1, [0, 1, 2], k=3,
                          budget=1, strict_budget=True,
                          options=QueryOptions(method="KPNE"))
-
-    def test_merge_helper_returns_defaults(self):
-        assert merge_query_kwargs(None, {}, "x") is DEFAULT_OPTIONS
-        opts = QueryOptions(method="PK")
-        assert merge_query_kwargs(opts, {}, "x") is opts
 
 
 class TestStrictBudgetDriftFix:

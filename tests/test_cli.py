@@ -484,14 +484,17 @@ class TestIndexBuildAndMmapQuery:
         assert "cost 20" in capsys.readouterr().out
 
     def test_mmap_index_rejects_object_backend(self, fig1_file, tmp_path):
+        """There is no --backend flag any more: argparse rejects it."""
         out = tmp_path / "fig1.rpli"
         main(["index", "build", "--graph", fig1_file, "--out", str(out)])
-        with pytest.raises(SystemExit):
-            main([
-                "query", "--graph", fig1_file, "--mmap-index", str(out),
-                "--backend", "object",
-                "--source", "0", "--target", "1", "--categories", "MA",
-            ])
+        for argv in (["query", "--source", "0", "--target", "1",
+                      "--categories", "MA"],
+                     ["batch", "--workload", "-"],
+                     ["serve"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv[:1] + ["--graph", fig1_file, "--mmap-index",
+                                 str(out), "--backend", "object"] + argv[1:])
+            assert exc.value.code == 2
 
     def test_sharded_batch_with_mmap_index(self, fig1_file, tmp_path,
                                            capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import KOSREngine, brute_force_kosr, make_query
+from repro import KOSREngine, QueryOptions, brute_force_kosr, make_query
 from repro.exceptions import QueryError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
@@ -58,15 +58,15 @@ class TestDispatch:
         g, engine = case
         bare = KOSREngine(g)
         q = make_query(g, 0, 9, [0, 1], 3)
-        expected = engine.run(q, method="PK").costs
-        got = bare.run(q, method="PK", nn_backend="dij-restart").costs
+        expected = engine.run(q, QueryOptions(method="PK")).costs
+        got = bare.run(q, QueryOptions(method="PK", nn_backend="dij-restart")).costs
         assert got == pytest.approx(expected)
 
     def test_gsp_via_engine(self, case):
         g, engine = case
         q = make_query(g, 0, 9, [0, 1], 1)
-        gsp = engine.run(q, method="GSP").costs
-        sk = engine.run(q, method="SK").costs
+        gsp = engine.run(q, QueryOptions(method="GSP")).costs
+        sk = engine.run(q, QueryOptions(method="SK")).costs
         assert gsp == pytest.approx(sk)
 
     def test_result_accessors(self, case):
@@ -81,8 +81,8 @@ class TestDiskStore:
         g, engine = case
         engine.attach_disk_store(tmp_path)
         q = make_query(g, 0, 9, [0, 1, 2], 4)
-        assert engine.run(q, method="SK-DB").costs == pytest.approx(
-            engine.run(q, method="SK").costs
+        assert engine.run(q, QueryOptions(method="SK-DB")).costs == pytest.approx(
+            engine.run(q, QueryOptions(method="SK")).costs
         )
 
     def test_sk_db_without_store_rejected(self, case):
@@ -95,7 +95,7 @@ class TestDiskStore:
         g, engine = case
         engine.attach_disk_store(tmp_path)
         q = make_query(g, 0, 9, [0, 1], 2)
-        stats = engine.run(q, method="SK-DB").stats
+        stats = engine.run(q, QueryOptions(method="SK-DB")).stats
         assert stats.index_load_time > 0
 
     def test_attach_requires_built_index(self, case, tmp_path):
@@ -141,10 +141,10 @@ class TestStrictBudget:
         g, engine = case
         q = make_query(g, 0, 9, [0, 1, 2], 10)
         with pytest.raises(BudgetExceededError):
-            engine.run(q, method="KPNE", budget=2, strict_budget=True)
+            engine.run(q, QueryOptions(method="KPNE", budget=2, strict_budget=True))
 
     def test_non_strict_returns_partial(self, case):
         g, engine = case
         q = make_query(g, 0, 9, [0, 1, 2], 10)
-        res = engine.run(q, method="KPNE", budget=2)
+        res = engine.run(q, QueryOptions(method="KPNE", budget=2))
         assert not res.stats.completed

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from repro import KOSREngine, KOSRQuery, brute_force_kosr, gsp_osr, make_query
+from repro import (
+    KOSREngine,
+    KOSRQuery,
+    QueryOptions,
+    brute_force_kosr,
+    gsp_osr,
+    make_query,
+)
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import names, paper_figure1_graph, vertex
@@ -46,7 +53,7 @@ class TestGSP:
     def test_matches_star_kosr_at_k1(self, fig1):
         engine = KOSREngine.build(fig1)
         q = make_query(fig1, vertex("s"), vertex("t"), ["MA", "RE"], 1)
-        sk = engine.run(q, method="SK").costs
+        sk = engine.run(q, QueryOptions(method="SK")).costs
         gsp = [r.cost for r in gsp_osr(fig1, q)]
         assert gsp == pytest.approx(sk)
 

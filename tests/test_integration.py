@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro import KOSREngine, make_query
+from repro import KOSREngine, QueryOptions, make_query
 from repro.experiments.workload import random_queries
 from repro.graph import generators
 from repro.paths.dijkstra import dijkstra_to_targets
@@ -32,9 +32,10 @@ class TestEndToEnd:
         engine = engines[name]
         workload = random_queries(engine.graph, 3, 2, 3, seed=hash(name) % 1000)
         for query in workload:
-            reference = engine.run(query, method="PK").costs
+            reference = engine.run(query, QueryOptions(method="PK")).costs
             for method in ("KPNE", "SK"):
-                assert engine.run(query, method=method).costs == pytest.approx(
+                result = engine.run(query, QueryOptions(method=method))
+                assert result.costs == pytest.approx(
                     reference
                 ), (name, method)
 
@@ -43,7 +44,7 @@ class TestEndToEnd:
         graph = engine.graph
         workload = random_queries(graph, 2, 2, 2, seed=5)
         for query in workload:
-            for item in engine.run(query, method="SK").results:
+            for item in engine.run(query, QueryOptions(method="SK")).results:
                 vertices = item.witness.vertices
                 total = 0.0
                 for a, b in zip(vertices, vertices[1:]):
@@ -59,7 +60,8 @@ class TestEndToEnd:
         graph = engine.graph
         workload = random_queries(graph, 2, 2, 2, seed=11)
         for query in workload:
-            result = engine.run(query, method="SK", restore_routes=True)
+            result = engine.run(
+                query, QueryOptions(method="SK", restore_routes=True))
             for item in result.results:
                 route = item.route.vertices
                 for a, b in zip(route, route[1:]):
@@ -69,8 +71,8 @@ class TestEndToEnd:
         engine = engines[name]
         workload = random_queries(engine.graph, 2, 2, 1, seed=17)
         for query in workload:
-            sk = engine.run(query, method="SK").costs
-            gsp = engine.run(query, method="GSP").costs
+            sk = engine.run(query, QueryOptions(method="SK")).costs
+            gsp = engine.run(query, QueryOptions(method="GSP")).costs
             assert gsp == pytest.approx(sk), name
 
 
@@ -80,8 +82,9 @@ class TestDiskParityAcrossDatasets:
         engine.attach_disk_store(tmp_path)
         workload = random_queries(engine.graph, 2, 3, 4, seed=23)
         for query in workload:
-            assert engine.run(query, method="SK-DB").costs == pytest.approx(
-                engine.run(query, method="SK").costs
+            db = engine.run(query, QueryOptions(method="SK-DB"))
+            assert db.costs == pytest.approx(
+                engine.run(query, QueryOptions(method="SK")).costs
             )
 
 
@@ -89,8 +92,8 @@ class TestStabilityUnderRepeats:
     def test_same_query_twice_same_answer(self, engines):
         engine = engines["COL"]
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1, [0, 1], 4)
-        first = engine.run(q, method="SK")
-        second = engine.run(q, method="SK")
+        first = engine.run(q, QueryOptions(method="SK"))
+        second = engine.run(q, QueryOptions(method="SK"))
         assert first.costs == second.costs
         assert first.witnesses == second.witnesses
         assert first.stats.examined_routes == second.stats.examined_routes

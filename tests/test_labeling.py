@@ -9,12 +9,12 @@ from repro.graph import from_edge_list, grid_graph, random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import paper_figure1_graph, vertex
 from repro.labeling import (
-    build_inverted_indexes,
+    build_packed_inverted_index,
+    build_packed_inverted_indexes,
     build_pruned_landmark_labels,
     degree_order,
     random_order,
 )
-from repro.labeling.inverted import build_inverted_index
 from repro.labeling.order import validate_order
 from repro.paths.dijkstra import dijkstra, dijkstra_distance
 from repro.types import INFINITY
@@ -112,7 +112,7 @@ class TestDistanceQueries:
     def test_labels_sorted_by_hub_rank(self, fig1_labels):
         for v in range(fig1_labels.num_vertices):
             for entries in (fig1_labels.lin(v), fig1_labels.lout(v)):
-                ranks = [e.hub_rank for e in entries]
+                ranks = [rank for rank, _, _ in entries]
                 assert ranks == sorted(ranks)
 
     def test_average_sizes_and_entry_count(self, fig1_labels):
@@ -208,7 +208,8 @@ class TestPaperTable4:
         from repro.graph.paper import names
 
         return {
-            names([labels.hub_vertex(e.hub_rank)])[0]: e.dist for e in entries
+            names([labels.hub_vertex(rank)])[0]: dist
+            for rank, dist, _ in entries
         }
 
     def test_lin_matches_table4(self, table4_labels):
@@ -232,7 +233,7 @@ class TestInvertedIndex:
     def test_fig1_table5_ma_index(self, fig1, table4_labels):
         """Table V: IL(MA) for the category {a, c} under the Table IV labels."""
         ma = fig1.category_id("MA")
-        il = build_inverted_index(fig1, table4_labels, ma)
+        il = build_packed_inverted_index(fig1, table4_labels, ma)
         a, c, s, t = (vertex(x) for x in ("a", "c", "s", "t"))
         # IL(s) holds (a, 8) and (c, 10); IL(t) holds (c, 15) and (a, 33).
         assert il.hub_list(s) == [(8.0, a), (10.0, c)]
@@ -244,8 +245,8 @@ class TestInvertedIndex:
         g = random_graph(30, 2.5, rng=random.Random(9))
         assign_uniform_categories(g, 2, 8, random.Random(10))
         labels = build_pruned_landmark_labels(g)
-        for il in build_inverted_indexes(g, labels).values():
-            for entries in il.lists.values():
+        for il in build_packed_inverted_indexes(g, labels).values():
+            for entries in il.as_lists().values():
                 dists = [d for d, _ in entries]
                 assert dists == sorted(dists)
 
@@ -253,7 +254,7 @@ class TestInvertedIndex:
         g = random_graph(25, 2.5, rng=random.Random(11))
         assign_uniform_categories(g, 1, 6, random.Random(12))
         labels = build_pruned_landmark_labels(g)
-        il = build_inverted_index(g, labels, 0)
+        il = build_packed_inverted_index(g, labels, 0)
         expected = sum(len(labels.lin(m)) for m in g.members(0))
         assert il.total_entries == expected
 
@@ -261,16 +262,16 @@ class TestInvertedIndex:
         g = random_graph(20, 2.5, rng=random.Random(13))
         assign_uniform_categories(g, 1, 5, random.Random(14))
         labels = build_pruned_landmark_labels(g)
-        il = build_inverted_index(g, labels, 0)
+        il = build_packed_inverted_index(g, labels, 0)
         member = next(iter(g.members(0)))
-        for entry in labels.lin(member):
-            il.remove_member(labels.hub_vertex(entry.hub_rank), entry.dist, member)
-        for entries in il.lists.values():
+        for rank, dist, _ in labels.lin(member):
+            assert il.overlay_remove(labels.hub_vertex(rank), rank, dist, member)
+        for entries in il.as_lists().values():
             assert all(m != member for _, m in entries)
 
     def test_average_list_length(self, fig1, fig1_labels):
         ma = fig1.category_id("MA")
-        il = build_inverted_index(fig1, fig1_labels, ma)
+        il = build_packed_inverted_index(fig1, fig1_labels, ma)
         assert il.average_list_length() == pytest.approx(il.total_entries / il.num_hubs)
 
 

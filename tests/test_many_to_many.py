@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import KOSREngine, gsp_osr, gsp_osr_ch, make_query
+from repro import KOSREngine, QueryOptions, gsp_osr, gsp_osr_ch, make_query
 from repro.ch import build_ch, many_to_many, offset_min_to_targets
 from repro.graph import grid_graph, random_graph
 from repro.graph.categories import assign_uniform_categories
@@ -113,8 +113,8 @@ class TestGspCh:
         assign_uniform_categories(g, 2, 5, random.Random(78))
         engine = KOSREngine.build(g)
         q = make_query(g, 0, 9, [0, 1], 1)
-        a = engine.run(q, method="GSP-CH").costs
-        b = engine.run(q, method="GSP").costs
+        a = engine.run(q, QueryOptions(method="GSP-CH")).costs
+        b = engine.run(q, QueryOptions(method="GSP")).costs
         assert a == pytest.approx(b)
         assert engine.contraction_hierarchy() is engine.contraction_hierarchy()
 

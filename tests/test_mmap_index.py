@@ -16,7 +16,7 @@ import struct
 
 import pytest
 
-from repro import KOSREngine, make_query
+from repro import KOSREngine, QueryOptions, make_query
 from repro.exceptions import IndexBuildError, IndexStorageError, QueryError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
@@ -30,7 +30,7 @@ from repro.labeling.packed_inverted import (
     PackedInvertedIndex,
     build_packed_inverted_index,
 )
-from repro.labeling.storage import CategoryShardStore
+from repro.labeling.storage import CategoryShard, CategoryShardStore
 
 
 def _graph(seed: int, n: int = 36, cats: int = 4, size: int = 6):
@@ -43,7 +43,7 @@ def _graph(seed: int, n: int = 36, cats: int = 4, size: int = 6):
 def built(tmp_path_factory):
     """A built packed engine plus its saved single-file index."""
     g = _graph(7)
-    engine = KOSREngine.build(g, backend="packed")
+    engine = KOSREngine.build(g)
     path = tmp_path_factory.mktemp("idx") / "index.rpli"
     written = engine.save_index(path)
     return g, engine, path, written
@@ -117,13 +117,14 @@ class TestFormatRoundTrip:
             f.close()
         reread = CategoryShardStore(tmp_path / "shards")
         vertices = reread.read_vertices()
-        assert vertices["order"] == list(engine.labels.order)
-        # pickled from a memoryview-backed index, yet plain-list payloads
-        assert type(vertices["order"]) is list
+        assert vertices["order"].tolist() == list(engine.labels.order)
         for cid, il in engine.inverted.items():
-            payload = reread.read_category(cid)
-            assert payload["il"] == {h: list(e)
-                                     for h, e in il.as_lists().items()}
+            shard = CategoryShard(reread.read_category(cid))
+            assert shard.inverted.as_lists() == il.as_lists()
+            for v, run in shard.lout.items():
+                assert list(zip(*run)) == [
+                    (r, d, -1 if p is None else p)
+                    for r, d, p in engine.labels.lout(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ class TestFormatRoundTrip:
 class TestCorruptFiles:
     def _save(self, tmp_path, name="base.rpli"):
         g = _graph(13, n=18, cats=2, size=4)
-        engine = KOSREngine.build(g, backend="packed")
+        engine = KOSREngine.build(g)
         path = tmp_path / name
         engine.save_index(path)
         return path
@@ -234,7 +235,6 @@ class TestAttachedEngine:
     def test_attach_is_mmap_backed(self, built):
         g, _, path, _ = built
         engine = KOSREngine.from_index_file(g, path)
-        assert engine.backend == "packed"
         assert isinstance(engine.labels, MmapLabelIndex)
         assert engine.labels.is_mmap
         for il in engine.inverted.values():
@@ -276,18 +276,20 @@ class TestAttachedEngine:
             cats = rng.sample(range(g.num_categories), rng.choice((1, 2)))
             q = make_query(g, s, t, cats, k=3)
             for method in ("SK", "PK", "KPNE"):
-                a = attached.run(q, method=method)
-                b = builder.run(q, method=method)
+                a = attached.run(q, QueryOptions(method=method))
+                b = builder.run(q, QueryOptions(method=method))
                 assert a.witnesses == b.witnesses
                 assert a.costs == pytest.approx(b.costs)
                 assert a.stats.nn_queries == b.stats.nn_queries
                 assert a.stats.examined_routes == b.stats.examined_routes
 
-    def test_save_index_requires_packed_backend(self):
+    def test_save_index_requires_packed_backend(self, tmp_path):
+        """Saving needs built indexes; there is no other representation."""
         g = _graph(21, n=16, cats=2, size=4)
-        engine = KOSREngine.build(g, backend="object")
         with pytest.raises(QueryError):
-            engine.save_index("/tmp/unused.rpli")
+            KOSREngine(g).save_index(tmp_path / "unused.rpli")
+        with pytest.raises(TypeError, match="backend"):
+            KOSREngine.build(g, backend="object")
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +315,7 @@ class TestMemoryAccounting:
         assert labels.nbytes_resident < labels.nbytes_serialized / 4
         mem = engine.index_memory()
         assert mem["shared"] is True
-        assert mem["backend"] == "packed"
+        assert "backend" not in mem
         assert mem["inverted_shared"] == mem["inverted_categories"]
         assert mem["index_file_bytes"] == os.path.getsize(path)
         assert mem["total_resident"] < mem["total_serialized"]
@@ -330,7 +332,7 @@ class TestMemoryAccounting:
         engine = KOSREngine.from_index_file(g, path)
         before = engine.index_memory()["total_resident"]
         q = make_query(g, 0, g.num_vertices - 1, [0, 1], k=2)
-        engine.run(q, method="SK")
+        engine.run(q, QueryOptions(method="SK"))
         after = engine.index_memory()
         assert after["total_resident"] >= before
         assert after["shared"] is True  # decode never flips to private
@@ -343,14 +345,15 @@ class TestMmapFleet:
     @pytest.fixture(scope="class")
     def workload(self):
         g = _graph(31)
-        engine = KOSREngine.build(g, backend="packed")
+        engine = KOSREngine.build(g)
         rng = random.Random(17)
         queries = []
         for _ in range(10):
             s, t = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
             cats = rng.sample(range(g.num_categories), 2)
             queries.append((s, t, cats))
-        expected = [engine.run(make_query(g, s, t, cats, k=3), method="SK")
+        expected = [engine.run(make_query(g, s, t, cats, k=3),
+                               QueryOptions(method="SK"))
                     for s, t, cats in queries]
         return g, engine, queries, expected
 
@@ -412,10 +415,10 @@ class TestMmapFleet:
             v = next(v for v in range(g.num_vertices)
                      if not g.has_category(v, cid))
             service.add_vertex_to_category(v, cid)
-            reference = KOSREngine.build(g, backend="packed")
+            reference = KOSREngine.build(g)
             q = service.make_query(0, g.num_vertices - 1, [0, 1], k=3)
             got = service.run(q)
-            want = reference.run(q, method="SK")
+            want = reference.run(q, QueryOptions(method="SK"))
             assert got.witnesses == want.witnesses
             assert got.costs == pytest.approx(want.costs)
             assert got.stats.nn_queries == want.stats.nn_queries
@@ -437,7 +440,7 @@ class TestMmapFleet:
         from repro.shard import ShardedQueryService
 
         g, _, _, _ = workload
-        with pytest.raises(QueryError):
+        with pytest.raises(TypeError, match="backend"):
             ShardedQueryService(g, 2, mmap_index=True, backend="object")
 
 

@@ -7,8 +7,8 @@ import pytest
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import paper_figure1_graph, vertex
-from repro.labeling import build_inverted_indexes, build_pruned_landmark_labels
-from repro.nn import DijkstraNNFinder, EstimatedNNFinder, LabelNNFinder
+from repro.labeling import build_packed_inverted_indexes, build_pruned_landmark_labels
+from repro.nn import DijkstraNNFinder, EstimatedNNFinder, PackedLabelNNFinder
 from repro.paths.dijkstra import dijkstra
 from repro.types import INFINITY
 
@@ -17,7 +17,7 @@ from repro.types import INFINITY
 def fig1_setup():
     g = paper_figure1_graph()
     labels = build_pruned_landmark_labels(g)
-    inverted = build_inverted_indexes(g, labels)
+    inverted = build_packed_inverted_indexes(g, labels)
     return g, labels, inverted
 
 
@@ -26,7 +26,7 @@ def random_setup():
     g = random_graph(60, 3.0, rng=random.Random(21))
     assign_uniform_categories(g, 3, 12, random.Random(22))
     labels = build_pruned_landmark_labels(g)
-    inverted = build_inverted_indexes(g, labels)
+    inverted = build_packed_inverted_indexes(g, labels)
     return g, labels, inverted
 
 
@@ -44,13 +44,13 @@ def enumerate_all(finder, source, category):
 class TestLabelNN:
     def test_example4_nearest_of_s_in_ma(self, fig1_setup):
         g, labels, inverted = fig1_setup
-        finder = LabelNNFinder.from_index(labels, inverted)
+        finder = PackedLabelNNFinder(labels, inverted)
         ma = g.category_id("MA")
         assert finder.find(vertex("s"), ma, 1) == (vertex("a"), 8.0)
 
     def test_example5_second_nearest_of_s_in_ma(self, fig1_setup):
         g, labels, inverted = fig1_setup
-        finder = LabelNNFinder.from_index(labels, inverted)
+        finder = PackedLabelNNFinder(labels, inverted)
         ma = g.category_id("MA")
         finder.find(vertex("s"), ma, 1)
         assert finder.find(vertex("s"), ma, 2) == (vertex("c"), 10.0)
@@ -58,7 +58,7 @@ class TestLabelNN:
 
     def test_matches_dijkstra_knn_everywhere(self, random_setup):
         g, labels, inverted = random_setup
-        finder = LabelNNFinder.from_index(labels, inverted)
+        finder = PackedLabelNNFinder(labels, inverted)
         for source in range(0, g.num_vertices, 9):
             for cid in range(g.num_categories):
                 dist = dijkstra(g, source)
@@ -73,7 +73,7 @@ class TestLabelNN:
 
     def test_nl_cache_hits_not_counted(self, random_setup):
         g, labels, inverted = random_setup
-        finder = LabelNNFinder.from_index(labels, inverted)
+        finder = PackedLabelNNFinder(labels, inverted)
         finder.find(0, 0, 3)
         queries_after_first = finder.queries
         finder.find(0, 0, 1)
@@ -83,7 +83,7 @@ class TestLabelNN:
 
     def test_duplicate_members_through_two_hubs_skipped(self, random_setup):
         g, labels, inverted = random_setup
-        finder = LabelNNFinder.from_index(labels, inverted)
+        finder = PackedLabelNNFinder(labels, inverted)
         for source in range(0, g.num_vertices, 7):
             got = enumerate_all(finder, source, 1)
             members = [v for v, _ in got]
@@ -91,19 +91,19 @@ class TestLabelNN:
 
     def test_source_in_category_is_own_nearest(self, random_setup):
         g, labels, inverted = random_setup
-        finder = LabelNNFinder.from_index(labels, inverted)
+        finder = PackedLabelNNFinder(labels, inverted)
         member = next(iter(g.members(0)))
         assert finder.find(member, 0, 1) == (member, 0.0)
 
     def test_distance_delegates_to_labels(self, random_setup):
         g, labels, inverted = random_setup
-        finder = LabelNNFinder.from_index(labels, inverted)
+        finder = PackedLabelNNFinder(labels, inverted)
         assert finder.distance(3, 9) == labels.distance(3, 9)
 
     def test_empty_category(self, random_setup):
         g, labels, inverted = random_setup
         cid = g.add_category("empty")
-        finder = LabelNNFinder.from_index(labels, build_inverted_indexes(g, labels))
+        finder = PackedLabelNNFinder(labels, build_packed_inverted_indexes(g, labels))
         assert finder.find(0, cid, 1) is None
 
 
@@ -111,7 +111,7 @@ class TestDijkstraNN:
     @pytest.mark.parametrize("mode", ["restart", "resume"])
     def test_matches_label_nn(self, random_setup, mode):
         g, labels, inverted = random_setup
-        label_finder = LabelNNFinder.from_index(labels, inverted)
+        label_finder = PackedLabelNNFinder(labels, inverted)
         dij_finder = DijkstraNNFinder(g, mode=mode)
         for source in (0, 13, 27):
             for cid in range(g.num_categories):
@@ -145,7 +145,7 @@ class TestEstimatedNN:
     def test_order_is_by_leg_plus_estimate(self, random_setup):
         g, labels, inverted = random_setup
         target = 5
-        base = LabelNNFinder.from_index(labels, inverted)
+        base = PackedLabelNNFinder(labels, inverted)
         est = EstimatedNNFinder(base, lambda v: labels.distance(v, target))
         for source in (0, 11, 23):
             for cid in range(g.num_categories):
@@ -169,7 +169,7 @@ class TestEstimatedNN:
 
     def test_members_unreachable_to_target_dropped(self, fig1_setup):
         g, labels, inverted = fig1_setup
-        base = LabelNNFinder.from_index(labels, inverted)
+        base = PackedLabelNNFinder(labels, inverted)
         # target f: no vertex reaches f except e (and f itself); MA members
         # a and c must both be dropped when estimating towards f... a reaches
         # f via e, c cannot (c -> b -> s -> a -> e -> f exists). Use a graph
@@ -189,7 +189,7 @@ class TestEstimatedNN:
 
     def test_enl_cache_stable(self, random_setup):
         g, labels, inverted = random_setup
-        base = LabelNNFinder.from_index(labels, inverted)
+        base = PackedLabelNNFinder(labels, inverted)
         est = EstimatedNNFinder(base, lambda v: labels.distance(v, 3))
         first = est.find(0, 0, 2)
         again = est.find(0, 0, 2)
@@ -199,7 +199,7 @@ class TestEstimatedNN:
         """Example 6: the 1st nearest *estimated* neighbor of s in MA is c
         (10 + 7 = 17 beats a's 8 + 12 = 20)."""
         g, labels, inverted = fig1_setup
-        base = LabelNNFinder.from_index(labels, inverted)
+        base = PackedLabelNNFinder(labels, inverted)
         est = EstimatedNNFinder(base, lambda v: labels.distance(v, vertex("t")))
         ma = g.category_id("MA")
         first = est.find(vertex("s"), ma, 1)

@@ -15,10 +15,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro import KOSREngine, make_query
+from repro import KOSREngine, QueryOptions, make_query
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
-from repro.labeling.packed import PackedLabelIndex
 from repro.labeling.pll import build_pruned_landmark_labels
 from repro.nn.label_nn import PackedLabelNNFinder
 from repro.types import INFINITY
@@ -29,8 +28,7 @@ N_CATEGORIES = 3
 _BASE_GRAPH = random_graph(N_VERTICES, avg_out_degree=2.5,
                            rng=random.Random(71))
 assign_uniform_categories(_BASE_GRAPH, N_CATEGORIES, 5, random.Random(72))
-_LABELS = PackedLabelIndex.from_index(
-    build_pruned_landmark_labels(_BASE_GRAPH))
+_LABELS = build_pruned_landmark_labels(_BASE_GRAPH)
 
 #: one op = (kind, vertex, category); "compact" ignores vertex/category
 _ops = st.lists(
@@ -117,11 +115,11 @@ def test_compact_is_noop_on_query_results(ops, seed):
         cats = rng.sample(range(N_CATEGORIES), 2)
         queries.append(make_query(g, rng.randrange(N_VERTICES),
                                   rng.randrange(N_VERTICES), cats, k=3))
-    before = [engine.run(q, method="SK") for q in queries]
+    before = [engine.run(q, QueryOptions(method="SK")) for q in queries]
     engine.compact()
     for il in engine.inverted.values():
         assert not il.dirty
-    after = [engine.run(q, method="SK") for q in queries]
+    after = [engine.run(q, QueryOptions(method="SK")) for q in queries]
     for a, b in zip(before, after):
         assert a.witnesses == b.witnesses
         assert a.costs == b.costs

@@ -13,7 +13,7 @@ from repro import KOSREngine, QueryStats, make_query
 from repro.core.runtime import QueryRuntime
 from repro.core.search import sequenced_route_search
 from repro.graph.paper import names, paper_figure1_graph, vertex
-from repro.nn.label_nn import LabelNNFinder
+from repro.nn.label_nn import PackedLabelNNFinder
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def setup():
 def _run_with_trace(engine, k, use_dominance, estimated):
     graph = engine.graph
     query = make_query(graph, vertex("s"), vertex("t"), ["MA", "RE", "CI"], k)
-    finder = LabelNNFinder.from_index(engine.labels, engine.inverted)
+    finder = PackedLabelNNFinder(engine.labels, engine.inverted)
     stats = QueryStats()
     runtime = QueryRuntime(query, finder, stats, estimated=estimated)
     trace = []

@@ -1,12 +1,14 @@
 """Tests for BFS-based PLL on unit-weight graphs."""
 
+import hashlib
 import random
 import time
+from array import array
 
 import pytest
 
 from repro.graph import from_edge_list, random_graph
-from repro.graph.generators import gplus, social_network
+from repro.graph.generators import cal, gplus, social_network
 from repro.labeling import build_pruned_landmark_labels
 from repro.labeling.pll_unweighted import (
     build_bfs_labels,
@@ -99,3 +101,35 @@ class TestPerformance:
         build_pruned_landmark_labels(g)
         dij_time = time.perf_counter() - t0
         assert bfs_time < dij_time * 1.5  # generous: just not pathological
+
+
+def _label_digest(labels) -> str:
+    """SHA-256 over the order and both sides' four label buffers."""
+    h = hashlib.sha256()
+    h.update(array("q", labels.order).tobytes())
+    for side in (labels.lin_side(), labels.lout_side()):
+        h.update(array("q", side.offsets).tobytes())
+        h.update(array("q", side.hub_ranks).tobytes())
+        h.update(array("d", side.dists).tobytes())
+        h.update(array("q", side.parents).tobytes())
+    return h.hexdigest()
+
+
+#: digests of the label buffers the builders produced before the dense
+#: per-root pruning array replaced the per-search dict (identical
+#: rank/dist/parent runs are the contract of that change)
+CAL_DIGEST = "ca2ea82858d61557179a9727f3c7bdb51cf824ac09138b760ca49df76ec2d747"
+GPLUS_DIGEST = "46ec495072cce739c9b1ffccd2d64a68058da1075cd40c917e0e4ff686d39f68"
+
+
+class TestLabelDigest:
+    @pytest.mark.parametrize("builder", [build_pruned_landmark_labels,
+                                         build_labels_auto])
+    def test_weighted_graph_labels_unchanged(self, builder):
+        assert _label_digest(builder(cal(scale=0.25))) == CAL_DIGEST
+
+    @pytest.mark.parametrize("builder", [build_bfs_labels,
+                                         build_pruned_landmark_labels,
+                                         build_labels_auto])
+    def test_unit_weight_graph_labels_unchanged(self, builder):
+        assert _label_digest(builder(gplus(scale=0.2))) == GPLUS_DIGEST

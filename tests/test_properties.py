@@ -14,11 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import KOSREngine, KOSRQuery, brute_force_kosr
+from repro import KOSREngine, KOSRQuery, QueryOptions, brute_force_kosr
 from repro.ch import build_ch, ch_distance
 from repro.graph import Graph
-from repro.labeling import build_inverted_indexes, build_pruned_landmark_labels
-from repro.nn import EstimatedNNFinder, LabelNNFinder
+from repro.labeling import build_packed_inverted_indexes, build_pruned_landmark_labels
+from repro.nn import EstimatedNNFinder, PackedLabelNNFinder
 from repro.paths.dijkstra import dijkstra, dijkstra_distance
 from repro.types import INFINITY
 
@@ -83,7 +83,7 @@ class TestLabelProperties:
         labels = build_pruned_landmark_labels(g)
         for v in range(g.num_vertices):
             for entries in (labels.lin(v), labels.lout(v)):
-                ranks = [e.hub_rank for e in entries]
+                ranks = [rank for rank, _, _ in entries]
                 assert ranks == sorted(ranks)
 
 
@@ -104,8 +104,8 @@ class TestFindNNProperties:
     @given(graphs(num_categories=2))
     def test_enumeration_matches_sorted_dijkstra(self, g):
         labels = build_pruned_landmark_labels(g)
-        inverted = build_inverted_indexes(g, labels)
-        finder = LabelNNFinder.from_index(labels, inverted)
+        inverted = build_packed_inverted_indexes(g, labels)
+        finder = PackedLabelNNFinder(labels, inverted)
         for source in range(g.num_vertices):
             for cid in range(g.num_categories):
                 dist = dijkstra(g, source)
@@ -126,9 +126,9 @@ class TestFindNNProperties:
     @given(graphs(num_categories=1))
     def test_estimated_order_sorted_and_admissible(self, g):
         labels = build_pruned_landmark_labels(g)
-        inverted = build_inverted_indexes(g, labels)
+        inverted = build_packed_inverted_indexes(g, labels)
         target = g.num_vertices - 1
-        base = LabelNNFinder.from_index(labels, inverted)
+        base = PackedLabelNNFinder(labels, inverted)
         est = EstimatedNNFinder(base, lambda v: labels.distance(v, target))
         for source in range(g.num_vertices):
             seq = []
@@ -159,7 +159,7 @@ class TestKOSRProperties:
                       rng.randrange(g.num_vertices), (0, 1), k)
         expected = [r.cost for r in brute_force_kosr(g, q)]
         for method in ("KPNE", "PK", "SK", "SK-NODOM"):
-            got = engine.run(q, method=method).costs
+            got = engine.run(q, QueryOptions(method=method)).costs
             assert got == pytest.approx(expected), method
 
     @SETTINGS
@@ -169,7 +169,7 @@ class TestKOSRProperties:
             return
         engine = KOSREngine.build(g)
         q = KOSRQuery(0, g.num_vertices - 1, (0,), 5)
-        res = engine.run(q, method="SK")
+        res = engine.run(q, QueryOptions(method="SK"))
         costs = res.costs
         assert costs == sorted(costs)
         for witness in res.witnesses:
@@ -184,8 +184,8 @@ class TestKOSRProperties:
             return
         engine = KOSREngine.build(g)
         q = KOSRQuery(0, g.num_vertices - 1, (0, 1), 2)
-        pk = engine.run(q, method="PK")
-        sk = engine.run(q, method="SK")
+        pk = engine.run(q, QueryOptions(method="PK"))
+        sk = engine.run(q, QueryOptions(method="SK"))
         assert sk.costs == pytest.approx(pk.costs)
 
     @SETTINGS
@@ -195,6 +195,6 @@ class TestKOSRProperties:
             return
         engine = KOSREngine.build(g)
         q = KOSRQuery(0, g.num_vertices - 1, (0, 1), 1)
-        sk = engine.run(q, method="SK").costs
-        gsp = engine.run(q, method="GSP").costs
+        sk = engine.run(q, QueryOptions(method="SK")).costs
+        gsp = engine.run(q, QueryOptions(method="GSP")).costs
         assert gsp == pytest.approx(sk)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import KOSREngine, KOSRQuery, brute_force_kosr
+from repro import KOSREngine, KOSRQuery, QueryOptions, brute_force_kosr
 from repro.graph import Graph
 from repro.labeling import (
     PackedLabelIndex,
-    build_inverted_indexes,
+    build_packed_inverted_indexes,
     build_pruned_landmark_labels,
 )
 from repro.paths.dijkstra import dijkstra
@@ -47,11 +47,13 @@ class TestPackedParityProperty:
     @SETTINGS
     @given(graphs())
     def test_packed_distances_identical(self, g):
-        labels = build_pruned_landmark_labels(g)
-        packed = PackedLabelIndex.from_index(labels)
+        """Label distances equal Dijkstra's on arbitrary graphs."""
+        packed = build_pruned_landmark_labels(g)
         for s in range(g.num_vertices):
+            dist = dijkstra(g, s)
             for t in range(g.num_vertices):
-                assert packed.distance(s, t) == labels.distance(s, t)
+                assert packed.distance(s, t) == pytest.approx(
+                    dist.get(t, INFINITY))
 
     @SETTINGS
     @given(graphs(max_vertices=10))
@@ -59,15 +61,15 @@ class TestPackedParityProperty:
         import tempfile
         from pathlib import Path
 
-        labels = build_pruned_landmark_labels(g)
-        packed = PackedLabelIndex.from_index(labels)
+        packed = build_pruned_landmark_labels(g)
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "x.bin"
             packed.save(path)
             loaded = PackedLabelIndex.load(path)
+            assert loaded.order == packed.order
             for v in range(g.num_vertices):
-                assert loaded.lin(v) == labels.lin(v)
-                assert loaded.lout(v) == labels.lout(v)
+                assert loaded.lin(v) == packed.lin(v)
+                assert loaded.lout(v) == packed.lout(v)
 
 
 class TestUndirectedGraphs:
@@ -77,8 +79,8 @@ class TestUndirectedGraphs:
         """Sec. IV-C: on undirected graphs one label side suffices."""
         labels = build_pruned_landmark_labels(g)
         for v in range(g.num_vertices):
-            lin = [(e.hub_rank, e.dist) for e in labels.lin(v)]
-            lout = [(e.hub_rank, e.dist) for e in labels.lout(v)]
+            lin = [(rank, dist) for rank, dist, _ in labels.lin(v)]
+            lout = [(rank, dist) for rank, dist, _ in labels.lout(v)]
             assert lin == lout
 
     @SETTINGS
@@ -89,7 +91,8 @@ class TestUndirectedGraphs:
         engine = KOSREngine.build(g)
         q = KOSRQuery(0, g.num_vertices - 1, (0,), 3)
         expected = [r.cost for r in brute_force_kosr(g, q)]
-        assert engine.run(q, method="SK").costs == pytest.approx(expected)
+        result = engine.run(q, QueryOptions(method="SK"))
+        assert result.costs == pytest.approx(expected)
 
 
 class TestUnitWeightGraphs:
@@ -103,7 +106,8 @@ class TestUnitWeightGraphs:
         q = KOSRQuery(0, g.num_vertices - 1, (0, 1), 4)
         expected = [r.cost for r in brute_force_kosr(g, q)]
         for method in ("KPNE", "PK", "SK"):
-            assert engine.run(q, method=method).costs == pytest.approx(expected)
+            result = engine.run(q, QueryOptions(method=method))
+            assert result.costs == pytest.approx(expected)
 
 
 class TestDominanceInvariant:
@@ -118,8 +122,8 @@ class TestDominanceInvariant:
             return
         engine = KOSREngine.build(g)
         q = KOSRQuery(0, g.num_vertices - 1, (0, 1), 3)
-        pk = engine.run(q, method="PK")
-        kpne = engine.run(q, method="KPNE")
+        pk = engine.run(q, QueryOptions(method="PK"))
+        kpne = engine.run(q, QueryOptions(method="KPNE"))
         assert pk.costs == pytest.approx(kpne.costs)
 
     @SETTINGS
@@ -130,7 +134,7 @@ class TestDominanceInvariant:
             return
         engine = KOSREngine.build(g)
         smaller = engine.run(KOSRQuery(0, g.num_vertices - 1, (0,), k),
-                             method="SK").costs
+                             QueryOptions(method="SK")).costs
         larger = engine.run(KOSRQuery(0, g.num_vertices - 1, (0,), k + 1),
-                            method="SK").costs
+                            QueryOptions(method="SK")).costs
         assert larger[: len(smaller)] == pytest.approx(smaller)

@@ -11,7 +11,7 @@ from repro.core.search import sequenced_route_search
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import paper_figure1_graph, vertex
-from repro.nn.label_nn import LabelNNFinder
+from repro.nn.label_nn import PackedLabelNNFinder
 from repro.types import INFINITY
 
 
@@ -22,7 +22,7 @@ def fig1_case():
 
 
 def make_runtime(engine, query, estimated=False, stats=None):
-    finder = LabelNNFinder.from_index(engine.labels, engine.inverted)
+    finder = PackedLabelNNFinder(engine.labels, engine.inverted)
     return QueryRuntime(query, finder, stats or QueryStats(), estimated=estimated)
 
 

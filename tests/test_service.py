@@ -20,7 +20,13 @@ import random
 
 import pytest
 
-from repro import BudgetExceededError, KOSREngine, QueryService, make_query
+from repro import (
+    BudgetExceededError,
+    KOSREngine,
+    QueryOptions,
+    QueryService,
+    make_query,
+)
 from repro.exceptions import IndexStorageError, QueryError
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
@@ -60,8 +66,9 @@ class TestPlanner:
             resolve_plan("NOPE")
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(QueryError, match="unknown index backend"):
-            resolve_plan("SK", backend="columnar")
+        """There is one index representation: no index-backend axis."""
+        with pytest.raises(TypeError, match="backend"):
+            resolve_plan("SK", backend="packed")
 
     def test_unknown_nn_backend_rejected_only_for_finder_methods(self):
         with pytest.raises(QueryError, match="unknown NN backend"):
@@ -76,15 +83,15 @@ class TestPlanner:
     def test_engine_run_rejects_unknown_method(self, engine):
         q = make_query(engine.graph, 0, 1, [0], k=1)
         with pytest.raises(QueryError, match="unknown method"):
-            engine.run(q, method="NOPE")
+            engine.run(q, QueryOptions(method="NOPE"))
 
 
 class TestSessionCache:
     def test_finder_and_dest_kernel_reused_within_epoch(self, engine):
         service = QueryService(engine)
         q = make_query(engine.graph, 0, 30, [0, 1], k=2)
-        service.run(q, method="SK")
-        service.run(q, method="SK")
+        service.run(q, QueryOptions(method="SK"))
+        service.run(q, QueryOptions(method="SK"))
         stats = service.session.stats
         assert stats.finder_misses == 1
         assert stats.finder_hits >= 1
@@ -161,14 +168,14 @@ class TestSessionCache:
         epoch = engine.index_epoch
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1], k=3)
-        engine.service.run(q, method="SK")  # cursors patch dirty runs
+        engine.service.run(q, QueryOptions(method="SK"))  # cursors patch dirty runs
         assert engine.index_epoch == epoch
 
     def test_batch_result_shape(self, engine):
         g = engine.graph
         queries = [make_query(g, s, 30, [0, 1], k=2) for s in (0, 1, 2)]
         queries.append(make_query(g, 0, 31, [1, 2], k=2))
-        batch = engine.service.run_batch(queries, method="SK")
+        batch = engine.service.run_batch(queries, QueryOptions(method="SK"))
         assert len(batch) == 4
         assert batch.num_groups == 2
         assert batch.unfinished == 0
@@ -192,8 +199,8 @@ class TestCacheRetention:
         service = engine.service
         qa = make_query(g, 0, g.num_vertices - 1, [0], k=2)
         qb = make_query(g, 1, g.num_vertices - 1, [1], k=2)
-        service.run(qa, method="SK")
-        service.run(qb, method="SK")
+        service.run(qa, QueryOptions(method="SK"))
+        service.run(qb, QueryOptions(method="SK"))
         return engine, service, qa, qb
 
     def test_update_a_keeps_b_warm(self):
@@ -218,24 +225,25 @@ class TestCacheRetention:
                         if not engine.graph.has_category(v, 0))
         engine.add_vertex_to_category(outsider, 0)
         before = service.session.stats.as_dict()
-        warm_b = service.run(qb, method="SK")
+        warm_b = service.run(qb, QueryOptions(method="SK"))
         after = service.session.stats.as_dict()
         # The finder lookup was a hit: B was served from retained state.
         assert after["finder_hits"] == before["finder_hits"] + 1
         assert after["finder_misses"] == before["finder_misses"]
         assert service.session.hit_rates()["finder"] > 0.0
         # ... and both categories still answer exactly like fresh engines.
-        fresh = KOSREngine.build(engine.graph.copy(), backend="object")
-        assert_same_outcome(warm_b, fresh.run(qb, method="SK"))
-        assert_same_outcome(service.run(qa, method="SK"),
-                            fresh.run(qa, method="SK"))
+        fresh = KOSREngine.build(engine.graph.copy())
+        assert_same_outcome(warm_b, fresh.run(qb, QueryOptions(method="SK")))
+        assert_same_outcome(service.run(qa, QueryOptions(method="SK")),
+                            fresh.run(qa, QueryOptions(method="SK")))
 
     def test_dest_kernels_and_ch_survive_category_updates(self):
         engine, service, qa, qb = self._warm_two_categories()
         session = service.session
         kernels_before = dict(session._dest_kernels)
         service.run(make_query(engine.graph, 0, engine.graph.num_vertices - 1,
-                               [0], k=1), method="GSP-CH")
+                               [0], k=1),
+                    QueryOptions(method="GSP-CH"))
         ch_before = session._ch
         assert kernels_before and ch_before is not None
         outsider = next(v for v in range(engine.graph.num_vertices)
@@ -271,7 +279,7 @@ class TestCachePolicy:
         service = QueryService(engine, max_dest_kernels=2)
         rng = random.Random(5)
         queries = self._shared_target_workload(engine.graph, rng, targets=5)
-        service.run_batch(queries, method="SK")
+        service.run_batch(queries, QueryOptions(method="SK"))
         session = service.session
         assert len(session._dest_kernels) <= 2
         assert session.stats.dest_kernel_evictions >= 3
@@ -292,7 +300,7 @@ class TestCachePolicy:
         service = QueryService(engine, max_finders=3)
         rng = random.Random(7)
         queries = self._shared_target_workload(engine.graph, rng, targets=6)
-        service.run_batch(queries, method="SK")
+        service.run_batch(queries, QueryOptions(method="SK"))
         session = service.session
         # Cursors are trimmed at the *next* query's view creation (never
         # mid-enumeration), so the cap holds at every query boundary.
@@ -312,9 +320,10 @@ class TestCachePolicy:
         queries = self._shared_target_workload(g, rng, targets=4,
                                                per_target=3)
         for method in ("SK", "PK"):
-            batch = service.run_batch(queries, method=method)
+            batch = service.run_batch(queries, QueryOptions(method=method))
             for q, warm in zip(queries, batch):
-                assert_same_outcome(warm, KOSREngine.build(g).run(q, method=method))
+                cold = KOSREngine.build(g).run(q, QueryOptions(method=method))
+                assert_same_outcome(warm, cold)
 
     def test_invalid_caps_rejected(self):
         engine = KOSREngine.build(_graph(83))
@@ -327,8 +336,8 @@ class TestCachePolicy:
         engine = KOSREngine.build(_graph(87))
         service = QueryService(engine)
         q = make_query(engine.graph, 0, 30, [0, 1], k=2)
-        service.run(q, method="SK")
-        service.run(q, method="SK")
+        service.run(q, QueryOptions(method="SK"))
+        service.run(q, QueryOptions(method="SK"))
         rates = service.session.stats.hit_rates()
         assert rates["finder"] == 0.5
         assert rates["dest_kernel"] == 0.5
@@ -339,9 +348,9 @@ class TestSkDbErrorPaths:
     def test_query_before_attach_disk_store(self, engine):
         q = make_query(engine.graph, 0, 10, [0], k=1)
         with pytest.raises(QueryError, match="attach_disk_store"):
-            engine.run(q, method="SK-DB")
+            engine.run(q, QueryOptions(method="SK-DB"))
         with pytest.raises(QueryError, match="attach_disk_store"):
-            QueryService(engine).run(q, method="SK-DB")
+            QueryService(engine).run(q, QueryOptions(method="SK-DB"))
 
     def test_missing_category_shard(self, tmp_path):
         engine = KOSREngine.build(_graph(33))
@@ -349,9 +358,9 @@ class TestSkDbErrorPaths:
         (tmp_path / "category_1.pkl").unlink()
         q = make_query(engine.graph, 0, 10, [1], k=1)
         with pytest.raises(IndexStorageError, match="missing category shard"):
-            engine.run(q, method="SK-DB")
+            engine.run(q, QueryOptions(method="SK-DB"))
         with pytest.raises(IndexStorageError, match="missing category shard"):
-            QueryService(engine).run(q, method="SK-DB")
+            QueryService(engine).run(q, QueryOptions(method="SK-DB"))
 
     def test_missing_vertex_label_file(self, tmp_path):
         engine = KOSREngine.build(_graph(35))
@@ -359,16 +368,16 @@ class TestSkDbErrorPaths:
         (tmp_path / "vertices.pkl").unlink()
         q = make_query(engine.graph, 0, 10, [0], k=1)
         with pytest.raises(IndexStorageError, match="missing vertex label"):
-            QueryService(engine).run(q, method="SK-DB")
+            QueryService(engine).run(q, QueryOptions(method="SK-DB"))
 
     def test_reattach_resets_warm_disk_state(self, tmp_path):
         engine = KOSREngine.build(_graph(37))
         engine.attach_disk_store(tmp_path / "a")
         service = QueryService(engine)
         q = make_query(engine.graph, 0, 10, [0, 1], k=2)
-        first = service.run(q, method="SK-DB")
+        first = service.run(q, QueryOptions(method="SK-DB"))
         engine.attach_disk_store(tmp_path / "b")  # new store object
-        second = service.run(q, method="SK-DB")
+        second = service.run(q, QueryOptions(method="SK-DB"))
         assert_same_outcome(first, second)
         assert service.session.stats.disk_view_misses == 2
 
@@ -380,34 +389,36 @@ class TestStrictBudget:
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1, 2], k=3)
         with pytest.raises(BudgetExceededError):
-            engine.run(q, method="KPNE", budget=1, strict_budget=True)
+            engine.run(q, QueryOptions(method="KPNE", budget=1, strict_budget=True))
 
     def test_time_budget_deadline(self, engine):
         """An already-expired deadline trips strict mode (satellite case)."""
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1, 2], k=3)
         with pytest.raises(BudgetExceededError):
-            engine.run(q, method="SK", time_budget_s=0.0, strict_budget=True)
+            engine.run(q, QueryOptions(method="SK", time_budget_s=0.0,
+                                       strict_budget=True))
 
     def test_deadline_without_strict_reports_inf(self, engine):
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1, 2], k=3)
-        result = engine.run(q, method="SK", time_budget_s=0.0)
+        result = engine.run(q, QueryOptions(method="SK", time_budget_s=0.0))
         assert not result.stats.completed
 
     def test_generous_guards_complete(self, engine):
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1], k=2)
-        result = engine.run(q, method="SK", budget=10_000, time_budget_s=30.0,
-                            strict_budget=True)
+        result = engine.run(q, QueryOptions(method="SK", budget=10_000,
+                                            time_budget_s=30.0,
+                                            strict_budget=True))
         assert result.stats.completed
 
     def test_strict_budget_on_service_path(self, engine):
         q = make_query(engine.graph, 0, engine.graph.num_vertices - 1,
                        [0, 1, 2], k=3)
         with pytest.raises(BudgetExceededError):
-            QueryService(engine).run(q, method="KPNE", budget=1,
-                                     strict_budget=True)
+            QueryService(engine).run(q, QueryOptions(method="KPNE", budget=1,
+                                                     strict_budget=True))
 
 
 class TestInterleavedUpdateFuzz:
@@ -464,9 +475,9 @@ class TestInterleavedUpdateFuzz:
             method = self.METHODS[method_cycle % len(self.METHODS)]
             method_cycle += 1
             queries = self._random_batch(g, rng)
-            batch = service.run_batch(queries, method=method)
+            batch = service.run_batch(queries, QueryOptions(method=method))
             for q, warm in zip(queries, batch):
-                cold = KOSREngine.build(g).run(q, method=method)
+                cold = KOSREngine.build(g).run(q, QueryOptions(method=method))
                 assert_same_outcome(warm, cold)
 
 

@@ -364,6 +364,34 @@ class TestTcpValidation:
         assert "str" in bad_deadline["error"]
         assert ok["completed"] and ok["costs"]
 
+    def test_over_long_line_gets_an_error_reply_then_close(
+            self, engine, enabled_registry):
+        """A 70 KiB line overruns asyncio's 64 KiB limit: one structured
+        error, counted in repro_tcp_errors_total, then a clean close."""
+        from repro.server.tcp import serve
+
+        async def scenario():
+            server = await serve(engine, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port)
+                writer.write(b'{"id": "' + b"x" * (70 * 1024) + b'"}\n')
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                eof = await reader.read()
+                writer.close()
+                await writer.wait_closed()
+                return reply, eof
+            finally:
+                await _shutdown(server)
+
+        reply, eof = asyncio.run(scenario())
+        assert reply["kind"] == "ValueError"
+        assert "64 KiB" in reply["error"]
+        assert eof == b""
+        assert enabled_registry.counter("repro_tcp_errors_total").value == 1
+
 
 class TestTcpOverload:
     def test_overload_reply_is_structured_and_counted(self, engine):

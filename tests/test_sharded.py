@@ -329,8 +329,7 @@ class TestWorkerProtocol:
         parent, child = multiprocessing.Pipe(duplex=True)
         thread = threading.Thread(
             target=worker_main,
-            args=(child, g, engine.labels, [0, 2], "packed", None, None,
-                  None),
+            args=(child, g, engine.labels, [0, 2], None, None, None),
             daemon=True)
         thread.start()
         kind, seq, health = parent.recv()  # startup handshake
@@ -420,21 +419,24 @@ class TestLifecycle:
     def test_timed_out_reply_is_discarded_not_served_to_next_request(self):
         """A slow reply must never answer a *later* request (regression).
 
-        Shrink the timeout so an exchange abandons early, then verify
-        the following request on the same shard gets its own answer —
-        the stale reply is dropped by sequence number, not popped as the
-        next response.
+        The worker holds its first query reply back for 0.6 s (the test
+        fault hook), so the 0.2 s exchange is certain to abandon it; then
+        verify the following request on the same shard gets its own
+        answer — the stale reply is dropped by sequence number, not
+        popped as the next response.
         """
         import time
 
-        sharded = ShardedQueryService(_graph(41), 1)
+        sharded = ShardedQueryService(
+            _graph(41), 1, timeout_s=0.2,
+            fault_injection={0: {"kind": "query", "when": "after",
+                                 "action": "hang", "hang_s": 0.6}})
         try:
             q_slow = sharded.make_query(0, 10, [0, 1], k=3)
             q_fast = sharded.make_query(5, 20, [1], k=1)
-            sharded.timeout_s = 0.0  # every reply is now "too slow"
             with pytest.raises(ShardError, match="no response"):
                 sharded.run(q_slow, QueryOptions())
-            time.sleep(0.5)  # let the worker finish and send the stale reply
+            time.sleep(0.8)  # let the worker wake and send the stale reply
             sharded.timeout_s = 30.0
             got = sharded.run(q_fast, QueryOptions())
             cold = KOSREngine.build(sharded.graph.copy()).run(q_fast)

@@ -12,13 +12,14 @@ from repro.labeling import (
     CategoryShardStore,
     DiskLabelRepository,
     add_vertex_to_category,
-    build_inverted_indexes,
+    build_packed_inverted_indexes,
     build_pruned_landmark_labels,
     remove_vertex_from_category,
 )
-from repro.labeling.inverted import build_inverted_index
+from repro.labeling.packed_inverted import build_packed_inverted_index
+from repro.labeling.storage import CategoryShard
 from repro.labeling.updates import rebuild_after_structure_update, update_edge
-from repro.nn.label_nn import LabelNNFinder
+from repro.nn.label_nn import DiskViewNNFinder, PackedLabelNNFinder
 
 
 @pytest.fixture
@@ -26,7 +27,7 @@ def setup(tmp_path):
     g = random_graph(30, 3.0, rng=random.Random(1))
     assign_uniform_categories(g, 3, 6, random.Random(2))
     labels = build_pruned_landmark_labels(g)
-    inverted = build_inverted_indexes(g, labels)
+    inverted = build_packed_inverted_indexes(g, labels)
     store = CategoryShardStore(tmp_path)
     store.write_all(g, labels, inverted)
     return g, labels, inverted, store
@@ -37,13 +38,31 @@ class TestShardStore:
         g, labels, inverted, store = setup
         payload = store.read_category(0)
         assert payload["members"] == sorted(g.members(0))
-        assert payload["il"].keys() == inverted[0].lists.keys()
+        shard = CategoryShard(payload)
+        assert shard.inverted.as_lists() == inverted[0].as_lists()
+        for v in g.members(0):
+            ranks, dists, parents = shard.lin[v]
+            assert [(r, d, None if p == -1 else p)
+                    for r, d, p in zip(ranks, dists, parents)] == labels.lin(v)
 
     def test_vertex_file_round_trip(self, setup):
         g, labels, _, store = setup
         payload = store.read_vertices()
-        assert payload["order"] == labels.order
-        assert len(payload["lin"]) == g.num_vertices
+        assert payload["order"].tolist() == labels.order
+        offsets, ranks, dists, parents = payload["lin"]
+        assert offsets.tolist() == labels.lin_side().offsets
+        assert dists.tolist() == labels.lin_side().dists
+
+    def test_old_shard_version_rejected(self, setup, tmp_path):
+        import pickle
+
+        _, _, _, store = setup
+        payload = store.read_category(0)
+        payload["version"] = CategoryShardStore.VERSION - 1
+        path = store.root / "category_0.pkl"
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(IndexStorageError, match="version"):
+            store.read_category(0)
 
     def test_missing_shard_raises(self, setup):
         _, _, _, store = setup
@@ -79,13 +98,16 @@ class TestDiskRepository:
         )
         with pytest.raises(IndexStorageError):
             view.lout(outsider)
+        # the finder's per-source Lout read goes through the same check
+        with pytest.raises(IndexStorageError):
+            DiskViewNNFinder(view).find(outsider, 0, 1)
 
     def test_findnn_over_view_matches_memory(self, setup):
         g, labels, inverted, store = setup
         repo = DiskLabelRepository(store)
         view = repo.load_for_query([0, 1, 2], 0, 5)
-        disk_finder = LabelNNFinder(view.lout, view.hub_vertex, view.hub_list, view.distance)
-        mem_finder = LabelNNFinder.from_index(labels, inverted)
+        disk_finder = DiskViewNNFinder(view)
+        mem_finder = PackedLabelNNFinder(labels, inverted)
         for x in range(1, g.category_size(1) + 2):
             assert disk_finder.find(0, 1, x) == mem_finder.find(0, 1, x)
 
@@ -96,36 +118,36 @@ class TestCategoryUpdates:
         outsider = next(v for v in range(g.num_vertices) if v not in g.members(0))
         add_vertex_to_category(g, labels, inverted, outsider, 0)
         assert outsider in g.members(0)
-        fresh = build_inverted_index(g, labels, 0)
-        assert fresh.lists == inverted[0].lists
+        fresh = build_packed_inverted_index(g, labels, 0)
+        assert fresh.as_lists() == inverted[0].as_lists()
 
     def test_remove_then_index_consistent(self, setup):
         g, labels, inverted, _ = setup
         member = next(iter(g.members(0)))
         remove_vertex_from_category(g, labels, inverted, member, 0)
         assert member not in g.members(0)
-        fresh = build_inverted_index(g, labels, 0)
-        assert fresh.lists == inverted[0].lists
+        fresh = build_packed_inverted_index(g, labels, 0)
+        assert fresh.as_lists() == inverted[0].as_lists()
 
     def test_insert_idempotent(self, setup):
         g, labels, inverted, _ = setup
         member = next(iter(g.members(0)))
-        before = {h: list(e) for h, e in inverted[0].lists.items()}
+        before = inverted[0].as_lists()
         add_vertex_to_category(g, labels, inverted, member, 0)
-        assert inverted[0].lists == before
+        assert inverted[0].as_lists() == before
 
     def test_remove_absent_is_noop(self, setup):
         g, labels, inverted, _ = setup
         outsider = next(v for v in range(g.num_vertices) if v not in g.members(1))
-        before = {h: list(e) for h, e in inverted[1].lists.items()}
+        before = inverted[1].as_lists()
         remove_vertex_from_category(g, labels, inverted, outsider, 1)
-        assert inverted[1].lists == before
+        assert inverted[1].as_lists() == before
 
     def test_nn_results_after_insert(self, setup):
         g, labels, inverted, _ = setup
         outsider = next(v for v in range(g.num_vertices) if v not in g.members(2))
         add_vertex_to_category(g, labels, inverted, outsider, 2)
-        finder = LabelNNFinder.from_index(labels, inverted)
+        finder = PackedLabelNNFinder(labels, inverted)
         found = set()
         x = 1
         while True:
@@ -169,12 +191,12 @@ class TestStructureUpdates:
         from repro.labeling.packed_inverted import PackedInvertedIndex
 
         g, labels, _, _ = setup
-        labels2, inverted2 = update_edge(g, 0, 5, 0.0, backend="packed")
+        labels2, inverted2 = update_edge(g, 0, 5, 0.0)
         assert isinstance(labels2, PackedLabelIndex)
         assert all(isinstance(il, PackedInvertedIndex)
                    for il in inverted2.values())
         assert labels2.distance(0, 5) == 0.0
-        # same distances as the object-backend rebuild of the same graph
+        # same distances as a second rebuild of the same graph
         labels3, _ = rebuild_after_structure_update(g)
         for s in range(0, g.num_vertices, 7):
             for t in range(g.num_vertices):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro import KOSREngine
+from repro import KOSREngine, QueryOptions
 from repro.exceptions import IndexBuildError
 from repro.experiments import datasets as ds
 from repro.experiments import figures
@@ -16,7 +16,7 @@ from repro.graph import from_edge_list, random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.categories import zipfian_sizes
 from repro.graph.generators import social_network
-from repro.labeling import PackedLabelIndex, build_pruned_landmark_labels
+from repro.labeling import build_pruned_landmark_labels
 from repro.paths.dijkstra import dijkstra_distance
 
 
@@ -59,7 +59,7 @@ class TestRunnerSkDb:
 class TestPackedErrorBranch:
     def test_find_parent_missing_hub_raises(self):
         g = from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        packed = PackedLabelIndex.from_index(build_pruned_landmark_labels(g))
+        packed = build_pruned_landmark_labels(g)
         with pytest.raises(IndexBuildError):
             packed._find_parent(packed._lout, 0, hub_rank=999)
 
@@ -103,8 +103,8 @@ class TestEngineGspChParity:
         engine = ds.engine_for("COL")
         workload = random_queries(engine.graph, 2, 2, 1, seed=7)
         for q in workload:
-            a = engine.run(q, method="GSP").costs
-            b = engine.run(q, method="GSP-CH").costs
+            a = engine.run(q, QueryOptions(method="GSP")).costs
+            b = engine.run(q, QueryOptions(method="GSP-CH")).costs
             assert b == pytest.approx(a)
 
 

@@ -1,11 +1,12 @@
-"""Randomized differential fuzzing of the dynamic packed backend.
+"""Randomized differential fuzzing of the dynamic packed index.
 
-One long-lived packed engine absorbs a seeded random interleaving of
-category inserts/removals, edge updates, explicit compactions, and
-queries.  After **every** step its answers are checked bit-identically
-(witnesses, costs, and all search counters) against a freshly built
-object-backend engine over the same graph state, and the cost vector is
-additionally checked against the exhaustive brute-force oracle.  The
+One long-lived engine absorbs a seeded random interleaving of category
+inserts/removals, edge updates, explicit compactions, and queries.  After
+**every** step its answers are checked bit-identically (witnesses, costs,
+all eight search counters and per-level examined routes) against a
+freshly built engine and a reference-finder engine over the same graph
+state, and the cost vector is additionally checked against the
+exhaustive brute-force oracle.  The
 overlay therefore gets exercised in every phase: fresh deltas, partially
 patched runs, threshold-triggered compactions, and post-``update_edge``
 rebuilds.
@@ -18,11 +19,14 @@ import random
 
 import pytest
 
-from repro import KOSREngine, make_query
+from reference_finder import ReferenceEngine
+from repro import KOSREngine, QueryOptions, make_query
 from repro.core.brute import brute_force_kosr
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.labeling.packed_inverted import PackedInvertedIndex
+from repro.labeling.pll_unweighted import build_labels_auto
+from test_backend_parity import assert_same_outcome
 
 SEEDS = (101, 202, 303, 404, 505)
 STEPS_PER_SEED = 44
@@ -39,26 +43,23 @@ def _make_graph(seed: int):
 
 
 def _differential_check(g, packed, rng):
-    """One random query on both backends + the brute-force oracle."""
+    """One random query against a fresh build, the reference finder and
+    the brute-force oracle."""
     s = rng.randrange(g.num_vertices)
     t = rng.randrange(g.num_vertices)
     n_cats = rng.choice((1, 2))
     cats = rng.sample(range(g.num_categories), n_cats)
     k = rng.randint(1, 3)
     q = make_query(g, s, t, cats, k=k)
-    obj = KOSREngine.build(g, backend="object")
+    fresh = KOSREngine.build(g)
+    ref = ReferenceEngine(g, fresh.labels)
     for method in ("SK", "PK"):
-        a = packed.run(q, method=method)
-        b = obj.run(q, method=method)
-        assert a.witnesses == b.witnesses
-        assert a.costs == pytest.approx(b.costs)
-        assert a.stats.nn_queries == b.stats.nn_queries
-        assert a.stats.examined_routes == b.stats.examined_routes
-        assert a.stats.generated_routes == b.stats.generated_routes
-        assert a.stats.dominated_routes == b.stats.dominated_routes
-        assert a.stats.reconsidered_routes == b.stats.reconsidered_routes
+        opts = QueryOptions(method=method)
+        a = packed.run(q, opts)
+        assert_same_outcome(a, fresh.run(q, opts))
+        assert_same_outcome(a, ref.run(q, opts))
     oracle = brute_force_kosr(g, q)
-    sk = packed.run(q, method="SK")
+    sk = packed.run(q, QueryOptions(method="SK"))
     assert sk.costs == pytest.approx([r.witness.cost for r in oracle])
 
 
@@ -100,7 +101,7 @@ def _random_mutation(g, packed, rng):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fuzz_packed_overlay_differential(seed):
     g = _make_graph(seed)
-    packed = KOSREngine.build(g, backend="packed")
+    packed = KOSREngine.build(g)
     rng = random.Random(seed * 7 + 1)
     counts = {}
     for _ in range(STEPS_PER_SEED):
@@ -120,11 +121,11 @@ def test_fuzz_mmap_attached_engine_differential(seed, tmp_path):
     The engine starts as read-only views over a saved index file;
     category updates force per-category materialization (copy-on-write
     at the category granularity), edge updates rebuild.  Every step is
-    still checked bit-identically against a fresh object build plus the
-    brute-force oracle.
+    still checked bit-identically against a fresh build, the reference
+    finder and the brute-force oracle.
     """
     g = _make_graph(seed)
-    builder = KOSREngine.build(g, backend="packed")
+    builder = KOSREngine.build(g)
     path = tmp_path / "fuzz.rpli"
     builder.save_index(path)
     attached = KOSREngine.from_index_file(g, path)
@@ -144,10 +145,10 @@ def test_fuzz_sharded_fleet_differential(seed):
     Category updates broadcast, edge updates go through the epoch-fenced
     prepare/commit path, and after every mutation a random query is
     checked bit-identically (results AND stats) against a fresh
-    unsharded object engine over the fleet's current graph.
+    unsharded engine and the reference finder over the fleet's current
+    graph.
     """
-    from repro import QueryOptions, ShardedQueryService
-    from test_backend_parity import assert_same_outcome
+    from repro import ShardedQueryService
 
     g = _make_graph(seed)
     sharded = ShardedQueryService(g.copy(), 2)
@@ -163,11 +164,13 @@ def test_fuzz_sharded_fleet_differential(seed):
                            rng.sample(range(fg.num_categories),
                                       rng.choice((1, 2))),
                            k=rng.randint(1, 3))
-            fresh = KOSREngine.build(fg.copy(), backend="object")
+            fresh = KOSREngine.build(fg.copy())
+            ref = ReferenceEngine(fresh.graph, fresh.labels)
             for method in ("SK", "PK"):
                 options = QueryOptions(method=method)
-                assert_same_outcome(sharded.run(q, options),
-                                    fresh.run(q, options=options))
+                answer = sharded.run(q, options)
+                assert_same_outcome(answer, fresh.run(q, options))
+                assert_same_outcome(answer, ref.run(q, options))
     finally:
         sharded.close()
     assert counts.get("edge", 0) > 0  # the interleaving hit update_edge
@@ -181,17 +184,20 @@ def test_fuzz_step_budget_meets_acceptance():
 
 def test_fuzz_effective_lists_match_object_rebuild():
     """After a fuzz run, the packed indexes' *effective* lists (base +
-    overlay, tombstones applied) equal a from-scratch object build."""
-    from repro.labeling.inverted import build_inverted_index
+    overlay, tombstones applied) equal a from-scratch rebuild and a plain
+    regrouping of every member's ``Lin``."""
+    from test_backend_parity import _regrouped_lin
 
     g = _make_graph(909)
-    packed = KOSREngine.build(g, backend="packed")
+    packed = KOSREngine.build(g)
     rng = random.Random(910)
     for _ in range(30):
         _random_mutation(g, packed, rng)
+    fresh = KOSREngine.build(g)
     for cid, il in packed.inverted.items():
         assert isinstance(il, PackedInvertedIndex)
-        fresh = build_inverted_index(g, packed.labels, cid)
-        assert il.as_lists() == fresh.lists
-        assert il.total_entries == fresh.total_entries
-        assert il.num_hubs == fresh.num_hubs
+        rebuilt = fresh.inverted[cid]
+        assert il.as_lists() == rebuilt.as_lists()
+        assert il.as_lists() == _regrouped_lin(g, build_labels_auto(g), cid)
+        assert il.total_entries == rebuilt.total_entries
+        assert il.num_hubs == rebuilt.num_hubs

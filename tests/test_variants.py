@@ -17,7 +17,7 @@ from repro.core.stats import QueryStats
 from repro.graph import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.graph.paper import names, paper_figure1_graph, vertex
-from repro.nn.label_nn import LabelNNFinder
+from repro.nn.label_nn import PackedLabelNNFinder
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ class TestNoSource:
         re = fig1.category_id("RE")
         ci = fig1.category_id("CI")
         # Seeded run: query whose "source" slot is unused.
-        finder = LabelNNFinder.from_index(fig1_engine.labels, fig1_engine.inverted)
+        finder = PackedLabelNNFinder(fig1_engine.labels, fig1_engine.inverted)
         q = make_query(fig1, vertex("b"), vertex("t"), [ci], 2)
         seeded = pruning_kosr(
             q, finder, QueryStats(),
