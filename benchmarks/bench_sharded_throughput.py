@@ -54,7 +54,8 @@ def setting():
         target = rng.randrange(g.num_vertices)
         # Pin each group's categories to one shard (round-robin over the
         # shard ids) so the buckets parallelise; a couple of groups span
-        # shards on purpose to keep the fan-out path honest.
+        # shards on purpose, so the primary owner's fault-in path is
+        # parity-checked too.
         shard = i % NUM_SHARDS
         pool = [c for c in range(g.num_categories)
                 if c % NUM_SHARDS == shard]
@@ -130,8 +131,8 @@ def test_sharded_throughput_speedup(setting):
     async_results, async_s = _run_async_sharded(engine, queries, NUM_SHARDS)
 
     # Bit-identical to a fresh unsharded cold engine for EVERY request —
-    # both shard counts, the async front door, and spanning (fanned-out)
-    # requests included.
+    # both shard counts, the async front door, and requests whose
+    # categories span shards included.
     for q, one, many, front in zip(queries, single_batch, multi_batch,
                                    async_results):
         cold = engine.run(q, OPTIONS)
@@ -176,7 +177,7 @@ def test_sharded_throughput_speedup(setting):
         "speedup": speedup,
         "parity": "bit-identical witnesses, costs, nn_queries, and "
                   "examined_routes vs a fresh unsharded cold engine for "
-                  "every request, fanned-out spanning requests included",
+                  "every request, shard-spanning requests included",
     }
     emit_json("bench_sharded_throughput", payload)
     print(f"\nsharded throughput ({cpus} cpus): 1 shard {n / single_s:.1f} "

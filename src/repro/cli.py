@@ -749,9 +749,9 @@ def cmd_serve(args) -> int:
         raise KeyboardInterrupt
 
     try:
-        signal.signal(signal.SIGTERM, _sigterm)
+        previous_sigterm = signal.signal(signal.SIGTERM, _sigterm)
     except ValueError:  # not the main thread (tests drive cmd_serve directly)
-        pass
+        previous_sigterm = None
     try:
         asyncio.run(main_loop())
     except KeyboardInterrupt:
@@ -769,6 +769,8 @@ def cmd_serve(args) -> int:
     finally:
         if sharded is not None:
             sharded.close()
+        if previous_sigterm is not None:
+            signal.signal(signal.SIGTERM, previous_sigterm)
     return 0
 
 

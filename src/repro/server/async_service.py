@@ -326,26 +326,17 @@ class AsyncQueryService:
 
         Consults the same declared needs the plan-aware router uses:
         a plan with ``needs_finder=False`` searches the whole graph
-        (GSP / GSP-CH) instead of walking indexed category streams, and a
-        sharded request spanning several owners pays fan-out plus a
-        cross-shard merge.  Resolution failures are treated as cheap —
-        the executor will raise the real error to the caller.
+        (GSP / GSP-CH) instead of walking indexed category streams.  (A
+        sharded request whose categories span shards is not expensive:
+        it runs once, on one worker.)  Resolution failures are treated
+        as cheap — the executor will raise the real error to the caller.
         """
         options = request.options
         try:
             plan = self.service.plan(options.method, options.nn_backend)
         except Exception:
             return False
-        if not plan.spec.needs_finder:
-            return True
-        owners_for = getattr(self.service, "owners_for", None)
-        if owners_for is not None:
-            try:
-                if len(owners_for(request.query, options)) > 1:
-                    return True
-            except Exception:
-                return False
-        return False
+        return not plan.spec.needs_finder
 
     async def gather(self, requests: Sequence[Union[QueryRequest, KOSRQuery]],
                      options: Optional[QueryOptions] = None) -> List:

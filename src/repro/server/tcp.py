@@ -41,8 +41,7 @@ A request carrying ``deadline_ms`` is shed the moment its deadline
 passes — still queued, or finished incomplete — with a structured
 ``{"error": "deadline_exceeded"}`` reply instead of a silent slow or
 partial answer.  Under overload, admission sheds expensive plans (GSP
-full-graph searches, cross-shard spanning requests) first; see
-:class:`AsyncQueryService`.
+full-graph searches) first; see :class:`AsyncQueryService`.
 
 Operator probes
 ---------------

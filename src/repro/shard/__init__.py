@@ -1,15 +1,15 @@
 """repro.shard — category-partitioned multi-process serving.
 
 * :mod:`repro.shard.router` — :class:`CategoryShardRouter` (static
-  ``cid % N`` partition, plan-aware ownership) and the distance-ordered
-  top-k candidate merge for spanning requests;
+  ``cid % N`` partition; every request runs on one shard, the primary
+  owner for finder plans) and a stable distance-ordered top-k merge;
 * :mod:`repro.shard.worker` — the worker process: one engine + warm
   :class:`~repro.service.service.QueryService` per category subset, with
   on-demand category faulting and the update-broadcast contract;
 * :mod:`repro.shard.service` — :class:`ShardedQueryService`: worker
   lifecycle (spawn / health-check / drain / shutdown), synchronous
-  per-shard transport, fan-out + merge, epoch-synchronized update
-  broadcast.
+  per-shard transport with respawn-and-retry reads, epoch-synchronized
+  update broadcast.
 
 The invariant the whole package defends: sharding is *observably
 transparent* — results and ``QueryStats`` counters stay bit-identical to

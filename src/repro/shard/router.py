@@ -1,26 +1,24 @@
-"""Plan-aware routing: which shard(s) own a request, and result merging.
+"""Plan-aware routing: which one shard serves a request.
 
 The sharded service partitions *categories* across worker processes; a
 query's resolved :class:`~repro.service.planner.QueryPlan` declares
 whether it consumes the category inverted indexes at all
 (``spec.needs_finder``), and the query itself names the categories it
-touches — together they tell the router exactly which shards can serve
-it:
+touches — together they pick the one shard that serves it:
 
 * a plan with no finder need (GSP / GSP-CH run over the replicated
   topology alone) can execute anywhere → round-robin;
-* a plan whose categories all live on one shard routes there;
-* a plan whose category set *spans* shards fans out to every owning
-  shard; each returns its top-k candidate list and
-  :func:`merge_topk_results` merges them by distance.
+* every other plan runs on the **primary owner**, the shard of the
+  query's first category (:meth:`CategoryShardRouter.primary`) — also
+  when the category set spans shards.  That worker faults in the other
+  categories' inverted indexes (bit-identical to an unsharded engine's),
+  so its single sequenced search is the whole answer, ``QueryStats``
+  included: a spanning request costs one execution, like the paper's
+  one StarKOSR / PruningKOSR search, and repeats of it land on the same
+  warm worker session.
 
-Merging preserves cold-equivalence: candidates flow through a *stable*
-k-way merge by cost (never reordering within one shard's list) and are
-deduplicated by witness, so when every shard returns the same
-deterministic list (they do — each executes the full sequenced search
-over identical index state) the merged answer *is* the primary shard's
-answer, tie order included, and the merged ``QueryStats`` are the
-primary's stats — bit-identical to an unsharded cold engine.
+:func:`merge_topk_results` — a stable, witness-deduplicating merge of
+per-shard top-k lists — is a library function; routing does not use it.
 """
 
 from __future__ import annotations
@@ -48,22 +46,10 @@ class CategoryShardRouter:
         """The owning shard of one category."""
         return cid % self.num_shards
 
-    def owners(self, categories: Sequence[CategoryId]) -> List[int]:
-        """Owning shards of a category set, in first-touch order, deduped.
-
-        The first entry is the *primary* owner — the shard whose stats a
-        fanned-out request reports (see :func:`merge_topk_results`).
-        """
-        seen: List[int] = []
-        for cid in categories:
-            shard = self.shard_of(cid)
-            if shard not in seen:
-                seen.append(shard)
-        return seen
-
-    def spans_shards(self, categories: Sequence[CategoryId]) -> bool:
-        """True when the category set straddles more than one shard."""
-        return len(self.owners(categories)) > 1
+    def primary(self, categories: Sequence[CategoryId]) -> int:
+        """The shard that serves a finder plan over ``categories``: the
+        owner of the first category."""
+        return self.shard_of(categories[0])
 
     def owned_categories(self, shard: int, num_categories: int) -> List[CategoryId]:
         """The categories shard ``shard`` owns out of ``num_categories``."""
@@ -75,7 +61,7 @@ def merge_topk_results(query, partials: Sequence) -> "KOSRResult":
     """Merge per-shard top-k candidate lists into one ``KOSRResult``.
 
     ``partials`` holds one :class:`~repro.core.engine.KOSRResult` per
-    owning shard, primary first.  Candidates merge through a *stable*
+    shard, primary first.  Candidates merge through a *stable*
     k-way merge by cost (``heapq.merge``: ties across lists resolve to
     the earlier list, and entries **within** one list are never
     reordered), deduplicate by witness, and truncate to ``query.k``.
@@ -90,7 +76,7 @@ def merge_topk_results(query, partials: Sequence) -> "KOSRResult":
     merged stats are the primary shard's :class:`QueryStats`: each
     shard's execution is individually cold-equivalent, so any owner's
     counters equal the unsharded cold engine's — the merge must simply
-    not double-count the fan-out.
+    not double-count the partials.
     """
     import heapq
 

@@ -1,13 +1,14 @@
 """Category-partitioned multi-process serving: :class:`ShardedQueryService`.
 
-The ROADMAP's "sharded indexes" scaling layer: N worker processes, each
-owning an engine + warm :class:`~repro.service.service.QueryService`
-over the category subset a :class:`~repro.shard.router.CategoryShardRouter`
-assigns it.  The parent process keeps only the graph and hub labels (for
-request validation and worker bootstrap) — no inverted indexes — and
-routes each request to the owning shard(s) via the resolved plan's
-declared needs, fanning out and merging top-k candidate lists when a
-request's category set spans shards.
+N worker processes, each owning an engine + warm
+:class:`~repro.service.service.QueryService` over the category subset a
+:class:`~repro.shard.router.CategoryShardRouter` assigns it.  The parent
+process keeps only the graph and hub labels (for request validation and
+worker bootstrap) — no inverted indexes — and routes each request to
+*one* shard via the resolved plan's declared needs: finder plans run on
+the primary owner (the shard of the query's first category), which
+faults in the query's other categories and answers the whole sequenced
+search in one execution, exactly as the paper's single search does.
 
 Because workers are separate processes, this is the layer that makes the
 serving stack truly parallel on stock CPython: the thread-pool paths
@@ -19,7 +20,8 @@ Contract highlights (pinned by ``tests/test_sharded.py``):
 
 * **Cold-equivalence survives sharding** — every answer (results *and*
   ``QueryStats`` counters) is bit-identical to a fresh unsharded cold
-  engine, including fanned-out spanning requests and post-update runs.
+  engine, including requests whose categories span shards and
+  post-update runs.
 * **Epoch-synchronized updates** — category updates broadcast to every
   worker and return only once all have acknowledged, so the next request
   (to any shard) observes the update exactly like a cold engine would;
@@ -27,11 +29,13 @@ Contract highlights (pinned by ``tests/test_sharded.py``):
   ``update_edge`` works live too: a parent-side background label rebuild
   followed by an epoch-fenced prepare/commit swap (queries keep serving
   the old index until the fence commits).
-* **Broadcast recovery** — a worker that fails an update exchange gets a
-  bounded retry, then is quarantined and respawned from the parent's
-  current state (re-attaching the shared index file and replaying
-  pending updates where one exists); only when recovery itself fails is
-  the fleet poisoned, and then every later query fails fast.
+* **Recovery** — a worker that fails an update exchange gets a bounded
+  retry, then is quarantined and respawned from the parent's current
+  state (re-attaching the shared index file and replaying pending
+  updates where one exists); only when recovery itself fails is the
+  fleet poisoned, and then every later query fails fast.  A read that
+  finds its worker dead or hung respawns it the same way and is sent
+  once more.
 * **Lifecycle** — workers are spawned on construction and health-checked
   via :meth:`ping`; :meth:`close` drains in-flight requests (the
   per-shard request/response protocol is synchronous), asks each worker
@@ -58,12 +62,19 @@ from repro.exceptions import QueryError, ShardError
 from repro.obs.metrics import REGISTRY as _METRICS, merge_snapshots
 from repro.service.planner import QueryPlan, resolve_plan
 from repro.service.service import BatchResult, QueryService
-from repro.shard.router import CategoryShardRouter, merge_topk_results
+# merge_topk_results is re-exported: the traced fleet run in
+# perfbench/workloads.py wraps this module's attribute.
+from repro.shard.router import (  # noqa: F401
+    CategoryShardRouter, merge_topk_results)
 from repro.shard.worker import pipe_recv, pipe_send, worker_main
 from repro.types import CategoryId, Vertex
 
 #: default seconds to wait for one worker response before declaring it dead
 DEFAULT_TIMEOUT_S = 120.0
+
+#: message kinds that are idempotent reads: a dead or hung worker is
+#: respawned and the read sent once more (see ShardedQueryService._dispatch)
+_READS = ("query", "stream")
 
 
 class ShardedQueryService:
@@ -137,7 +148,7 @@ class ShardedQueryService:
         self._closed = False
         self._diverged: Optional[str] = None
         self._epoch = 0
-        self._fanout_pool = None
+        self._broadcast_pool = None
         self._index_file = None
         self._owns_index_file = False
         self.index_path: Optional[str] = None
@@ -189,13 +200,9 @@ class ShardedQueryService:
 
             labels = build_labels_auto(graph)
         self.labels = labels
-        # mmap workers attach the file themselves: ship them the path,
-        # not the (unpicklable, and pointlessly large) mapped labels.
-        worker_labels = None if self.index_path is not None else labels
 
-        ctx = mp.get_context(start_method) if start_method else \
+        self._ctx = mp.get_context(start_method) if start_method else \
             mp.get_context()
-        self._ctx = ctx
         self._conns = []
         self._procs = []
         self._locks = [threading.Lock() for _ in range(num_shards)]
@@ -204,20 +211,9 @@ class ShardedQueryService:
         #: exchanges are discarded instead of answering a later request
         self._seqs = [0] * num_shards
         for shard in range(num_shards):
-            owned = self.router.owned_categories(shard, graph.num_categories)
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=worker_main,
-                args=(child_conn, graph, worker_labels, owned,
-                      overlay_ratio, max_dest_kernels, max_finders,
-                      self.index_path, self._metrics_workers, shard,
-                      self._fault_injection.get(shard)),
-                name=f"repro-shard-{shard}",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
+            conn, proc = self._start_worker(
+                shard, self._fault_injection.get(shard))
+            self._conns.append(conn)
             self._procs.append(proc)
         # Startup handshake: each worker reports health (or its build
         # error) once its engine + service exist.  The request timeout
@@ -241,6 +237,30 @@ class ShardedQueryService:
             self._closed = True
             self._cleanup_index_file()
             raise
+
+    def _start_worker(self, shard: int, fault: Optional[dict] = None):
+        """Start shard ``shard``'s worker from the parent's current state.
+
+        Returns the parent's pipe end and the process; the caller waits
+        for the startup handshake.  mmap workers attach the index file
+        themselves: they get its path, not the (unpicklable, and
+        pointlessly large) mapped labels.
+        """
+        owned = self.router.owned_categories(shard,
+                                             self.graph.num_categories)
+        labels = None if self.index_path is not None else self.labels
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        proc = self._ctx.Process(
+            target=worker_main,
+            args=(child_conn, self.graph, labels, owned, self._overlay_ratio,
+                  self._max_dest_kernels, self._max_finders, self.index_path,
+                  self._metrics_workers, shard, fault),
+            name=f"repro-shard-{shard}",
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        return parent_conn, proc
 
     def _cleanup_index_file(self) -> None:
         """Release the parent's mapping; unlink the temp file if we made it.
@@ -343,19 +363,59 @@ class ShardedQueryService:
         return self._recv(shard, seq, on_route=on_route)
 
     def _dispatch(self, shard: int, msg: tuple, on_route=None):
-        """One synchronous request/response exchange with a worker."""
+        """One synchronous request/response exchange with a worker.
+
+        Reads (:data:`_READS`) fail fast on a diverged fleet and heal: a
+        worker that dies or times out mid-read is quarantined and
+        respawned under the shard lock (:meth:`_respawn_worker_locked`,
+        the update ladder's step 2), and the read — idempotent — is sent
+        once more to the replacement.  A stream that already delivered a
+        route cannot be replayed without the caller seeing routes twice,
+        so it fails with a :class:`ShardError` after the respawn instead.
+        Operator probes (ping, stats, metrics) never respawn: they report
+        the worker as they find it.
+        """
+        read = msg[0] in _READS
+        if read and self._diverged is not None:
+            raise ShardError(-1, self._diverged)
         metrics = _METRICS
         timed = metrics.enabled
         if timed:
             t0 = time.perf_counter()
         with self._locks[shard]:
-            payload = self._exchange_locked(shard, msg, on_route=on_route)
+            if read:
+                payload = self._read_locked(shard, msg, on_route)
+            else:
+                payload = self._exchange_locked(shard, msg,
+                                                on_route=on_route)
         if timed:
             metrics.counter("repro_shard_requests_total",
                             shard=shard).inc()
             metrics.histogram("repro_shard_roundtrip_seconds",
                               shard=shard).observe(time.perf_counter() - t0)
         return payload
+
+    def _read_locked(self, shard: int, msg: tuple, on_route=None):
+        """A read exchange with one respawn-and-resend (caller holds the lock)."""
+        delivered = 0
+
+        def deliver(res):
+            nonlocal delivered
+            delivered += 1
+            on_route(res)
+
+        try:
+            return self._exchange_locked(
+                shard, msg, on_route=None if on_route is None else deliver)
+        except ShardError:
+            pass  # transport failure: heal below (worker errors propagate)
+        self._respawn_worker_locked(shard)
+        if delivered:
+            raise ShardError(
+                shard, f"worker failed after streaming {delivered} "
+                       f"route(s); it was respawned, the stream is not "
+                       f"replayed")
+        return self._exchange_locked(shard, msg, on_route=on_route)
 
     def _update_exchange(self, shard: int, msg: tuple,
                          resend_after_respawn: bool = True):
@@ -377,7 +437,10 @@ class ShardedQueryService:
            resent once — except when the respawn itself already implies
            the message's effect (``commit_edge`` after the parent
            adopted the post-update state), where the caller passes
-           ``resend_after_respawn=False``.
+           ``resend_after_respawn=False``.  Such a message goes straight
+           to the respawn when the worker *rejects* it: a read respawned
+           that worker between its prepare and its commit, so it has no
+           staged state to match the fence.
         3. failure past that propagates; the caller decides whether the
            fleet is diverged (commit path) or cleanly abortable (prepare
            path).
@@ -388,6 +451,10 @@ class ShardedQueryService:
                     return self._exchange_locked(shard, msg)
                 except ShardError:
                     continue
+                except ValueError:
+                    if resend_after_respawn:
+                        raise
+                    break
             self._respawn_worker_locked(shard)
             if not resend_after_respawn:
                 return None
@@ -404,9 +471,9 @@ class ShardedQueryService:
         file sections) or builds fresh from the parent's current labels.
         Either way the new worker is bit-identical to its fleet-mates
         before the shard lock is released, so no query can observe a
-        half-recovered shard.  Raises (propagating to the caller's
-        divergence handling) if the replacement fails its startup
-        handshake.
+        half-recovered shard.  Raises if the replacement fails its
+        startup handshake: an update caller then decides on divergence,
+        a read simply fails (the next read tries the respawn again).
         """
         if self._closed:
             raise ShardError(shard, "service is closed")
@@ -421,23 +488,7 @@ class ShardedQueryService:
             self._conns[shard].close()
         except OSError:
             pass
-        owned = self.router.owned_categories(shard,
-                                             self.graph.num_categories)
-        worker_labels = None if self.index_path is not None else self.labels
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        replacement = self._ctx.Process(
-            target=worker_main,
-            args=(child_conn, self.graph, worker_labels, owned,
-                  self._overlay_ratio,
-                  self._max_dest_kernels, self._max_finders,
-                  self.index_path, self._metrics_workers, shard, None),
-            name=f"repro-shard-{shard}",
-            daemon=True,
-        )
-        replacement.start()
-        child_conn.close()
-        self._conns[shard] = parent_conn
-        self._procs[shard] = replacement
+        self._conns[shard], self._procs[shard] = self._start_worker(shard)
         # Startup handshake (seq 0; the live sequence counter keeps
         # counting — the fresh worker simply echoes whatever it is sent).
         self._recv(shard, 0, timeout_s=float("inf"))
@@ -472,11 +523,15 @@ class ShardedQueryService:
 
     def owners_for(self, query: KOSRQuery,
                    options: QueryOptions) -> List[int]:
-        """The shard(s) that will serve this request, primary first.
+        """The shard that will serve this request, as a one-element list.
 
-        Resolves the plan (validating method / NN backend) and reads its declared needs: finder-free plans route
-        round-robin, finder plans route to the owners of the query's
-        categories.  SK-DB is rejected — workers hold no disk store.
+        Resolves the plan (validating method / NN backend) and reads its
+        declared needs: finder-free plans route round-robin, finder plans
+        route to the primary owner — the shard of the query's first
+        category (:meth:`CategoryShardRouter.primary`).  That worker
+        faults in the query's other categories, so one execution answers
+        the whole sequenced search.  SK-DB is rejected — workers hold no
+        disk store.
         """
         plan = resolve_plan(options.method, options.nn_backend)
         if plan.spec.needs_disk:
@@ -490,7 +545,16 @@ class ShardedQueryService:
                 "this shard fleet was built without labels "
                 "(build_labels=False); it serves only finder-free plans "
                 "(GSP family) or Dijkstra NN backends")
-        return self.router.owners(query.categories)
+        return [self.router.primary(query.categories)]
+
+    @staticmethod
+    def _unpack(request, options, caller: str):
+        """``(query, options)`` of a :class:`QueryRequest` or bare query."""
+        if isinstance(request, QueryRequest):
+            if options is not None:
+                raise TypeError("pass options inside the QueryRequest")
+            return request.query, request.options
+        return request, resolve_options(options, caller)
 
     def run(self, request: Union[QueryRequest, KOSRQuery],
             options: Optional[QueryOptions] = None, *,
@@ -502,97 +566,35 @@ class ShardedQueryService:
         for :class:`QueryService` signature compatibility and ignored —
         warm state lives in the workers' own sessions.
         """
-        if isinstance(request, QueryRequest):
-            query, opts = request.query, request.options
-            if options is not None:
-                raise TypeError("pass options inside the QueryRequest")
-        else:
-            query = request
-            opts = resolve_options(options, "ShardedQueryService.run")
-        return self._run_resolved(query, opts, self.owners_for(query, opts))
-
-    def _ensure_fanout_pool(self):
-        """The persistent dispatch pool for fan-out and broadcasts.
-
-        Created lazily (single-owner requests never need it) and sized
-        to the fleet; per-request executors would pay thread spawn +
-        ``shutdown(wait=True)`` on every spanning query.  Tasks are
-        independent single exchanges, so sharing one pool between
-        concurrent fan-outs and broadcasts can only queue, not deadlock.
-        """
-        if self._fanout_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._fanout_pool = ThreadPoolExecutor(
-                max_workers=self.num_shards,
-                thread_name_prefix="repro-shard-fanout")
-        return self._fanout_pool
-
-    def _run_resolved(self, query: KOSRQuery, opts: QueryOptions,
-                      owners: List[int]):
-        """Dispatch a query whose owning shard(s) are already resolved."""
-        if self._diverged is not None:
-            raise ShardError(-1, self._diverged)
-        msg = ("query", query, opts)
-        if len(owners) == 1:
-            return self._dispatch(owners[0], msg)
-        metrics = _METRICS
-        if metrics.enabled:
-            metrics.counter("repro_shard_spanning_requests_total").inc()
-            metrics.counter("repro_shard_fanout_total").inc(len(owners))
-        # Spanning request: fan out to every owning shard concurrently
-        # (each executes the full deterministic search, as the tentpole
-        # design specifies — the redundancy keeps every owner's warm
-        # state current for its slice of the traffic) and merge the
-        # candidate lists.  The primary runs on the calling thread; only
-        # the secondaries need pool slots.
-        pool = self._ensure_fanout_pool()
-        futures = [pool.submit(self._dispatch, shard, msg)
-                   for shard in owners[1:]]
-        partials = [self._dispatch(owners[0], msg)]
-        partials += [f.result() for f in futures]
-        return merge_topk_results(query, partials)
+        query, opts = self._unpack(request, options,
+                                   "ShardedQueryService.run")
+        shard, = self.owners_for(query, opts)
+        return self._dispatch(shard, ("query", query, opts))
 
     def run_stream(self, request: Union[QueryRequest, KOSRQuery],
                    options: Optional[QueryOptions] = None, *,
                    session=None, on_route=None):
         """Answer one request, streaming routes as the worker surfaces them.
 
-        Single-owner requests stream *live*: the worker emits one interim
-        pipe frame per discovered route ahead of its final reply, and
+        Every request streams *live*: the worker emits one interim pipe
+        frame per discovered route ahead of its final reply, and
         ``on_route`` fires (on the calling thread) as each frame arrives —
-        while the worker's search is still running.  Spanning requests
-        cannot know the merged top-k until every owner has answered, so
-        their routes replay through the callback after the merge.
-        ``session`` is accepted for :class:`QueryService` signature
-        compatibility and ignored.
+        while the worker's search is still running.  ``session`` is
+        accepted for :class:`QueryService` signature compatibility and
+        ignored.
         """
-        if isinstance(request, QueryRequest):
-            query, opts = request.query, request.options
-            if options is not None:
-                raise TypeError("pass options inside the QueryRequest")
-        else:
-            query = request
-            opts = resolve_options(options, "ShardedQueryService.run_stream")
-        owners = self.owners_for(query, opts)
-        if on_route is None:
-            return self._run_resolved(query, opts, owners)
-        if len(owners) > 1:
-            result = self._run_resolved(query, opts, owners)
-            for res in result.results:
-                on_route(res)
-            return result
-        if self._diverged is not None:
-            raise ShardError(-1, self._diverged)
-        return self._dispatch(owners[0], ("stream", query, opts),
-                              on_route=on_route)
+        query, opts = self._unpack(request, options,
+                                   "ShardedQueryService.run_stream")
+        shard, = self.owners_for(query, opts)
+        kind = "query" if on_route is None else "stream"
+        return self._dispatch(shard, (kind, query, opts), on_route=on_route)
 
     def run_batch(self, queries: Sequence[KOSRQuery],
                   options: Optional[QueryOptions] = None, *,
                   max_workers: Optional[int] = None) -> BatchResult:
         """Execute a workload across the shards; results in input order.
 
-        Queries are bucketed by primary owner and each bucket runs on its
+        Queries are bucketed by serving shard and each bucket runs on its
         own dispatch thread — true multi-core parallelism, since each
         bucket's work happens in a separate worker process.
         ``max_workers`` is accepted for :class:`QueryService` signature
@@ -602,33 +604,33 @@ class ShardedQueryService:
         """
         options = resolve_options(options, "ShardedQueryService.run_batch")
         queries = list(queries)
-        # Ownership is resolved exactly once per query: the bucket both
-        # places the query on a dispatch thread and is what executes it
-        # (re-resolving inside the run would advance the round-robin
-        # counter again and unpin finder-free queries from their bucket).
-        owners_per_query = [self.owners_for(q, options) for q in queries]
+        # The serving shard is resolved exactly once per query: the
+        # bucket both places the query on a dispatch thread and is what
+        # executes it (re-resolving inside the run would advance the
+        # round-robin counter again and unpin finder-free queries).
         buckets: Dict[int, List[int]] = {}
-        for i, owners in enumerate(owners_per_query):
-            buckets.setdefault(owners[0], []).append(i)
+        for i, q in enumerate(queries):
+            shard, = self.owners_for(q, options)
+            buckets.setdefault(shard, []).append(i)
         results: List = [None] * len(queries)
         before = self.cache_stats()
         t0 = time.perf_counter()
 
-        def run_bucket(indexes: List[int]) -> None:
+        def run_bucket(shard: int, indexes: List[int]) -> None:
             for i in indexes:
-                results[i] = self._run_resolved(queries[i], options,
-                                                owners_per_query[i])
+                results[i] = self._dispatch(shard,
+                                            ("query", queries[i], options))
 
         if len(buckets) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=len(buckets)) as pool:
-                for future in [pool.submit(run_bucket, indexes)
-                               for indexes in buckets.values()]:
+                for future in [pool.submit(run_bucket, shard, indexes)
+                               for shard, indexes in buckets.items()]:
                     future.result()
         else:
-            for indexes in buckets.values():
-                run_bucket(indexes)
+            for shard, indexes in buckets.items():
+                run_bucket(shard, indexes)
         wall = time.perf_counter() - t0
         after = self.cache_stats()
         return BatchResult(
@@ -648,18 +650,28 @@ class ShardedQueryService:
     # ------------------------------------------------------------------
     # Epoch-synchronized updates
     # ------------------------------------------------------------------
-    def _broadcast(self, msg: tuple) -> List:
-        """Send ``msg`` to every worker concurrently; results in shard order.
+    def _on_every_shard(self, exchange, *args) -> List:
+        """Run ``exchange(shard, *args)`` for every shard concurrently.
 
-        All exchanges are waited out even when one fails (no in-flight
-        exchange may be abandoned mid-pipe); the first failure is then
-        re-raised.  Latency is O(slowest shard), not O(sum) — the same
-        per-shard-lock concurrency the fan-out path uses.
+        Results come back in shard order.  All exchanges are waited out
+        even when one fails (no in-flight exchange may be abandoned
+        mid-pipe); the first failure is then re-raised.  Latency is
+        O(slowest shard), not O(sum): the per-shard locks let the
+        exchanges proceed side by side on a persistent pool, created on
+        the first broadcast (reads never need it — each runs on one
+        shard, on the calling thread) so a broadcast costs no thread
+        spawns.  Tasks are independent single exchanges, so concurrent
+        broadcasts can only queue, not deadlock.
         """
         if self.num_shards == 1:
-            return [self._dispatch(0, msg)]
-        pool = self._ensure_fanout_pool()
-        futures = [pool.submit(self._dispatch, shard, msg)
+            return [exchange(0, *args)]
+        if self._broadcast_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._broadcast_pool = ThreadPoolExecutor(
+                max_workers=self.num_shards,
+                thread_name_prefix="repro-shard-broadcast")
+        futures = [self._broadcast_pool.submit(exchange, shard, *args)
                    for shard in range(self.num_shards)]
         results: List = []
         first_exc: Optional[BaseException] = None
@@ -673,6 +685,10 @@ class ShardedQueryService:
             raise first_exc
         return results
 
+    def _broadcast(self, msg: tuple) -> List:
+        """Send ``msg`` to every worker; replies in shard order."""
+        return self._on_every_shard(self._dispatch, msg)
+
     def _broadcast_recovering(self, msg: tuple,
                               resend_after_respawn: bool = True) -> None:
         """Send an update message to every worker with per-shard recovery.
@@ -683,22 +699,8 @@ class ShardedQueryService:
         the *caller* decides whether that means divergence (commit-side
         broadcasts) or a clean abort (prepare-side).
         """
-        if self.num_shards == 1:
-            self._update_exchange(0, msg, resend_after_respawn)
-            return
-        pool = self._ensure_fanout_pool()
-        futures = [pool.submit(self._update_exchange, shard, msg,
-                               resend_after_respawn)
-                   for shard in range(self.num_shards)]
-        first_exc: Optional[BaseException] = None
-        for future in futures:
-            try:
-                future.result()
-            except BaseException as exc:
-                if first_exc is None:
-                    first_exc = exc
-        if first_exc is not None:
-            raise first_exc
+        self._on_every_shard(self._update_exchange, msg,
+                             resend_after_respawn)
 
     def _broadcast_best_effort(self, msg: tuple) -> None:
         """Deliver ``msg`` where possible, swallowing per-shard failures."""
@@ -740,9 +742,13 @@ class ShardedQueryService:
         with self._update_lock:
             self.graph._check_vertex(v)
             self.graph._check_category(cid)
+            # Stale before the graph moves: a read may respawn a worker
+            # from this graph at any moment (it holds only a shard lock),
+            # and a replacement that sees the new membership must also
+            # see the category's file sections marked stale.
+            self._stale_log.add(cid)
             if not self.graph.has_category(v, cid):
                 self.graph.assign_category(v, cid)
-            self._stale_log.add(cid)
             self._broadcast_update(("update", "add", v, cid))
 
     def remove_vertex_from_category(self, v: Vertex, cid: CategoryId) -> None:
@@ -750,9 +756,9 @@ class ShardedQueryService:
         with self._update_lock:
             self.graph._check_vertex(v)
             self.graph._check_category(cid)
+            self._stale_log.add(cid)  # before the graph moves, as above
             if self.graph.has_category(v, cid):
                 self.graph.unassign_category(v, cid)
-            self._stale_log.add(cid)
             self._broadcast_update(("update", "remove", v, cid))
 
     def compact(self) -> None:
@@ -952,9 +958,9 @@ class ShardedQueryService:
                 except (BrokenPipeError, EOFError, OSError):
                     pass
         self._closed = True
-        if self._fanout_pool is not None:
-            self._fanout_pool.shutdown(wait=True)
-            self._fanout_pool = None
+        if self._broadcast_pool is not None:
+            self._broadcast_pool.shutdown(wait=True)
+            self._broadcast_pool = None
         for shard, proc in enumerate(self._procs):
             proc.join(timeout=grace_s)
             if proc.is_alive():

@@ -11,14 +11,16 @@ counter accounting, LRU caps) applies unchanged inside the process.
 Category faulting
 -----------------
 
-A fanned-out or mis-balanced request may name categories this shard does
-not own.  Because hub labels depend only on topology, the worker can
-*fault in* any missing category's inverted index on demand — built fresh
-from the worker's (update-current) graph and labels, it is bit-identical
-to the index an unsharded engine holds, so results and counters stay
-cold-equivalent.  Faulted indexes join ``engine.inverted`` with a zero
-version counter, leaving the index epoch (and therefore the warm
-session) untouched.
+A request routed here names categories this shard may not own: the
+router sends every finder plan to the owner of its *first* category.
+Because hub labels depend only on topology, the worker can *fault in*
+any missing category's inverted index on demand — attached from the
+shared index file when one is mapped and the category is untouched
+since, else built fresh from the worker's (update-current) graph and
+labels — and it is bit-identical to the index an unsharded engine
+holds, so results and counters stay cold-equivalent.  Faulted indexes
+join ``engine.inverted`` with a zero version counter, leaving the index
+epoch (and therefore the warm session) untouched.
 
 Update broadcast contract
 -------------------------
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 from typing import List, Optional
 
 from repro.api import QueryOptions
@@ -477,6 +480,14 @@ def worker_main(conn, graph, labels, owned, overlay_ratio,
     worker's snapshot for fleet-wide merging.
     """
     parent_pid = os.getppid()
+    # A forked worker inherits the parent's Python signal handlers; one
+    # that turns SIGTERM into an exception (``cli serve`` installs such a
+    # handler) can be swallowed mid-build, leaving a ``terminate()``d
+    # worker running.  SIGTERM must end a worker.
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    except ValueError:  # not the main thread (tests drive worker_main so)
+        pass
     if metrics_enabled:
         from repro.obs.metrics import REGISTRY
 

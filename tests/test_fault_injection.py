@@ -1,4 +1,4 @@
-"""Fault-injection suite: kill or hang workers mid-mutation.
+"""Fault-injection suite: kill or hang workers mid-mutation or mid-read.
 
 Each test spawns a 2-shard fleet with a per-shard fault spec (see
 ``repro.shard.worker._maybe_fault``) that makes one worker die or hang
@@ -8,7 +8,9 @@ is lost) or after (applied, but the ack is lost).  The recovery ladder
 a state whose answers are bit-identical to a fresh unsharded engine —
 results AND ``QueryStats`` counters — or, when recovery itself is made
 to fail, the fleet must poison and fail fast rather than serve
-divergent state.
+divergent state.  Reads heal the same way (respawn, then one resend);
+a stream that already delivered routes fails with a structured error
+instead of replaying them.
 """
 
 import random
@@ -21,7 +23,7 @@ from repro import (
     ShardedQueryService,
     make_query,
 )
-from repro.exceptions import ShardError
+from repro.exceptions import BudgetExceededError, ShardError
 from repro.graph.builders import random_graph
 from repro.graph.categories import assign_uniform_categories
 from repro.obs.metrics import REGISTRY
@@ -201,6 +203,55 @@ class TestEdgeUpdateFaults:
         finally:
             sharded.close()
 
+    @pytest.mark.parametrize("window", ["prepared", "adopted"])
+    def test_read_respawn_between_prepare_and_commit(self, monkeypatch,
+                                                     window):
+        """A read respawns a worker after its prepare, before its commit.
+
+        The replacement has nothing staged — it was built from the
+        parent's state just before (``prepared``) or just after
+        (``adopted``) the parent took the update on — so it cannot
+        acknowledge the fence.  The commit replaces it once more from
+        the adopted post-update state instead of poisoning the fleet.
+        """
+        g = _graph(73)
+        sharded = ShardedQueryService(g.copy(), 2)
+        try:
+            q = sharded.make_query(0, 30, [0, 1], k=3)
+            sharded.run(q, QueryOptions())
+
+            def kill_and_read():
+                sharded._procs[0].kill()
+                sharded._procs[0].join(timeout=5)
+                sharded.run(q, QueryOptions())  # respawns shard 0
+
+            if window == "prepared":
+                broadcast = ShardedQueryService._broadcast_recovering
+
+                def prepare_then_read(self, msg, resend_after_respawn=True):
+                    broadcast(self, msg, resend_after_respawn)
+                    if msg[0] == "prepare_edge":
+                        kill_and_read()
+
+                monkeypatch.setattr(ShardedQueryService,
+                                    "_broadcast_recovering",
+                                    prepare_then_read)
+            else:
+                retire = ShardedQueryService._retire_index_file
+
+                def adopt_then_read(self):
+                    retire(self)
+                    kill_and_read()
+
+                monkeypatch.setattr(ShardedQueryService,
+                                    "_retire_index_file", adopt_then_read)
+            sharded.update_edge(0, 1, 0.5)
+            monkeypatch.undo()
+            _recovered(sharded, respawns=2)
+            _assert_parity(sharded, q)
+        finally:
+            sharded.close()
+
     def test_unrecoverable_prepare_aborts_without_poisoning(
             self, monkeypatch):
         """A failed prepare rolls back: old index keeps serving.
@@ -263,6 +314,126 @@ class TestEdgeUpdateFaults:
             assert sharded._diverged is not None
             with pytest.raises(ShardError, match="diverged"):
                 sharded.run(q, QueryOptions())
+        finally:
+            sharded.close()
+
+
+def _fresh_answer(sharded, q):
+    return KOSREngine.build(sharded.graph.copy()).run(q)
+
+
+class TestQueryPathFaults:
+    """A read whose worker dies or hangs respawns it and is resent once.
+
+    The queries span both shards, so each also checks that the primary
+    owner's replacement faults the other category back in.
+    """
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_worker_dies_mid_read(self, enabled_registry, when):
+        """Killed before the search (the read is lost) or after it (the
+        answer is lost): either way the caller gets the fresh answer."""
+        g = _graph(47)
+        sharded = ShardedQueryService(
+            g.copy(), 2,
+            fault_injection={0: {"kind": "query", "when": when,
+                                 "action": "die"}})
+        try:
+            q = sharded.make_query(0, 30, [0, 1], k=3)
+            assert_same_outcome(sharded.run(q, QueryOptions()),
+                                _fresh_answer(sharded, q))
+            _recovered(sharded)
+            assert enabled_registry.counter(
+                "repro_shard_respawns_total", shard=0).value == 1
+            _assert_parity(sharded, q)  # the replacement keeps serving
+            assert sharded.respawns == 1
+        finally:
+            sharded.close()
+
+    def test_worker_hangs_mid_read(self):
+        """A hung read trips the timeout; the sleeper is replaced."""
+        g = _graph(53)
+        sharded = ShardedQueryService(
+            g.copy(), 2, timeout_s=1.0,
+            fault_injection={1: {"kind": "query", "when": "before",
+                                 "action": "hang", "hang_s": 3600.0}})
+        try:
+            q = sharded.make_query(2, 20, [1, 2], k=2)  # shard 1 serves
+            assert_same_outcome(sharded.run(q, QueryOptions()),
+                                _fresh_answer(sharded, q))
+            _recovered(sharded)
+        finally:
+            sharded.close()
+
+    def test_worker_errors_do_not_respawn(self):
+        """Only transport failures heal; a worker's own error is the
+        answer and propagates as is."""
+        sharded = ShardedQueryService(_graph(59), 2)
+        try:
+            q = sharded.make_query(0, 30, [0, 1, 2], k=5)
+            with pytest.raises(BudgetExceededError):
+                sharded.run(q, QueryOptions(budget=1, strict_budget=True))
+            assert sharded.respawns == 0
+        finally:
+            sharded.close()
+
+    def test_mmap_read_respawn_replays_pending_updates(self):
+        """A read-path respawn re-attaches the index file and must not
+        serve its pre-update sections (the stale replay covers reads)."""
+        g = _graph(61)
+        sharded = ShardedQueryService(
+            g.copy(), 2, mmap_index=True,
+            fault_injection={0: {"kind": "query", "when": "before",
+                                 "action": "die", "skip": 1}})
+        try:
+            q = sharded.make_query(0, 30, [0, 2], k=3)
+            sharded.run(q, QueryOptions())
+            moved = next(v for v in range(g.num_vertices)
+                         if not sharded.graph.has_category(v, 2))
+            sharded.add_vertex_to_category(moved, 2)
+            assert_same_outcome(sharded.run(q, QueryOptions()),
+                                _fresh_answer(sharded, q))
+            _recovered(sharded)
+        finally:
+            sharded.close()
+
+    def test_stream_killed_before_any_route_is_resent(self):
+        g = _graph(67)
+        sharded = ShardedQueryService(
+            g.copy(), 2,
+            fault_injection={0: {"kind": "stream", "when": "before",
+                                 "action": "die"}})
+        try:
+            q = sharded.make_query(0, 30, [0, 1], k=3)
+            streamed = []
+            result = sharded.run_stream(q, on_route=streamed.append)
+            assert_same_outcome(result, _fresh_answer(sharded, q))
+            assert [r.cost for r in streamed] == result.costs  # once each
+            _recovered(sharded)
+        finally:
+            sharded.close()
+
+    def test_stream_killed_after_routes_fails_without_replay(self):
+        """Routes already reached the caller: resending would deliver
+        them twice, so the stream fails with a structured error — and
+        the shard is healed for the next request."""
+        g = _graph(71)
+        sharded = ShardedQueryService(
+            g.copy(), 2,
+            fault_injection={0: {"kind": "stream", "when": "after",
+                                 "action": "die"}})
+        try:
+            q = sharded.make_query(0, 30, [0, 1], k=3)
+            fresh = _fresh_answer(sharded, q)
+            streamed = []
+            with pytest.raises(ShardError, match="not replayed"):
+                sharded.run_stream(q, on_route=streamed.append)
+            assert [r.cost for r in streamed] == fresh.costs
+            _recovered(sharded)
+            again = []
+            assert_same_outcome(
+                sharded.run_stream(q, on_route=again.append), fresh)
+            assert [r.cost for r in again] == fresh.costs
         finally:
             sharded.close()
 

@@ -13,8 +13,8 @@ Pins the PR 7 serving contracts:
   ``{"error": "deadline_exceeded"}`` reply over TCP) when the deadline
   passes in the queue or the capped execution comes back incomplete;
 * **expensive-plan shedding** — past the admission watermark, plans
-  that search the whole graph (GSP family) or fan out across shards are
-  shed first, before cheap indexed requests are refused;
+  that search the whole graph (GSP family) are shed first, before cheap
+  indexed requests are refused;
 * **malformed TCP records** — non-object JSON, unknown fields, and
   missing fields each get a structured error naming the offender, and
   the connection stays usable;
@@ -734,15 +734,35 @@ class TestShardedStreaming:
         finally:
             sharded.close()
 
-    def test_spanning_requests_replay_after_the_merge(self):
-        """Cross-shard requests have no single live stream; the merged
-        top-k is replayed through the callback in rank order."""
+    def test_spanning_requests_stream_live(self, monkeypatch):
+        """Cross-shard requests stream live too: one worker serves them,
+        so the first route crosses the pipe before that worker's final
+        reply — there is no merge of several owners' answers to wait for."""
+        import repro.shard.service as shard_service
+
         g = _graph(103, cats=8)
         sharded = ShardedQueryService(g, 4)
         try:
             q = sharded.make_query(0, 30, [0, 1], k=3)  # shards 0 and 1
-            streamed = []
-            result = sharded.run_stream(q, on_route=streamed.append)
+            frames = []  # kinds of the frames the parent has received
+            recv = shard_service.pipe_recv
+
+            def logged_recv(conn):
+                frame = recv(conn)
+                frames.append(frame[0])
+                return frame
+
+            monkeypatch.setattr(shard_service, "pipe_recv", logged_recv)
+            streamed, frames_at_route = [], []
+
+            def on_route(res):
+                frames_at_route.append(list(frames))
+                streamed.append(res)
+
+            result = sharded.run_stream(q, on_route=on_route)
+            assert frames_at_route[0] == ["route"]  # no final reply yet
+            assert frames.count("ok") == 1          # one execution
             assert [r.cost for r in streamed] == result.costs
+            assert_same_outcome(result, KOSREngine.build(g.copy()).run(q))
         finally:
             sharded.close()

@@ -1,7 +1,7 @@
 """Sharded multi-process serving: routing, parity, updates, lifecycle.
 
 The invariant under test everywhere: sharding is observably transparent.
-Whatever the partition, fan-out, or update interleaving, every answer —
+Whatever the partition, routing, or update interleaving, every answer —
 results AND ``QueryStats`` counters — is bit-identical to a fresh
 unsharded cold engine over the same state.
 """
@@ -22,6 +22,7 @@ from repro import (
 from repro.exceptions import QueryError, ShardError
 from repro.graph.builders import random_graph
 from repro.graph.categories import assign_uniform_categories
+from repro.obs.metrics import REGISTRY
 from repro.shard.router import CategoryShardRouter, merge_topk_results
 
 from test_backend_parity import assert_same_outcome
@@ -42,18 +43,32 @@ def setting():
     sharded.close()
 
 
+@pytest.fixture()
+def enabled_registry():
+    was_enabled = REGISTRY.enabled
+    REGISTRY.reset()
+    REGISTRY.enable()
+    yield REGISTRY
+    REGISTRY.enabled = was_enabled
+    REGISTRY.reset()
+
+
+def _queries_executed(snapshot) -> int:
+    return sum(m["value"] for m in snapshot["metrics"]
+               if m["name"] == "repro_queries_total")
+
+
 class TestRouter:
     def test_modulo_ownership(self):
         router = CategoryShardRouter(3)
         assert [router.shard_of(c) for c in range(6)] == [0, 1, 2, 0, 1, 2]
         assert router.owned_categories(1, 6) == [1, 4]
 
-    def test_owners_primary_first_and_deduped(self):
+    def test_primary_is_the_first_categorys_owner(self):
         router = CategoryShardRouter(2)
-        assert router.owners((3, 0, 1)) == [1, 0]   # 3 -> 1 first
-        assert router.owners((0, 2)) == [0]
-        assert router.spans_shards((0, 1))
-        assert not router.spans_shards((0, 2))
+        assert router.primary((3, 0, 1)) == 1   # 3 -> 1, spanning or not
+        assert router.primary((0, 2)) == 0
+        assert router.primary((2, 1)) == 0
 
     def test_single_partial_merge_is_identity(self, setting):
         engine, _ = setting
@@ -114,10 +129,11 @@ class TestShardedParity:
             assert_same_outcome(sharded.run(q, options), engine.run(q, options))
 
     def test_spanning_request_bit_identical(self, setting):
-        """Categories 0 (shard 0) and 1 (shard 1): fan out + merge."""
+        """Categories 0 (shard 0) and 1 (shard 1): shard 0 alone serves."""
         engine, sharded = setting
         q = make_query(engine.graph, 1, 30, [0, 1], k=5)
-        assert sharded.router.owners(q.categories) == [0, 1]
+        assert {sharded.router.shard_of(c) for c in q.categories} == {0, 1}
+        assert sharded.owners_for(q, QueryOptions()) == [0]
         assert_same_outcome(sharded.run(q, QueryOptions()), engine.run(q))
 
     def test_topology_only_fleet_serves_gsp_and_rejects_label_plans(self):
@@ -213,6 +229,38 @@ class TestShardedParity:
         with pytest.raises(BudgetExceededError) as info:
             sharded.run(q, QueryOptions(budget=1, strict_budget=True))
         assert info.value.budget == 1  # __reduce__ preserved the payload
+
+
+class TestOneReadOneExecution:
+    def test_spanning_read_runs_once_on_one_warm_worker(
+            self, enabled_registry):
+        """A read straddling both shards executes on exactly one worker.
+
+        The per-worker query counters move by 1 per read, on the same
+        worker (the owner of the first category) every time, so the
+        repeat is a warm finder hit there — and both answers stay
+        bit-identical, results and every counter, to a fresh engine.
+        """
+        g = _graph(47)
+        sharded = ShardedQueryService(g.copy(), 2)
+        try:
+            q = sharded.make_query(1, 30, [1, 0], k=4)  # shard 1, then 0
+            cold = KOSREngine.build(g.copy()).run(q)
+            for repeat in (False, True):
+                workers = [_queries_executed(s)
+                           for s in sharded._broadcast(("metrics",))]
+                fleet = _queries_executed(sharded.metrics_snapshot())
+                before = sharded.cache_stats()
+                assert_same_outcome(sharded.run(q, QueryOptions()), cold)
+                after = sharded.cache_stats()
+                assert [_queries_executed(s) - n for s, n in zip(
+                    sharded._broadcast(("metrics",)), workers)] == [0, 1]
+                assert _queries_executed(sharded.metrics_snapshot()) == \
+                    fleet + 1
+                hits = after["finder_hits"] - before["finder_hits"]
+                assert (hits > 0) == repeat
+        finally:
+            sharded.close()
 
 
 class TestShardedBatch:
@@ -419,42 +467,47 @@ class TestLifecycle:
     def test_timed_out_reply_is_discarded_not_served_to_next_request(self):
         """A slow reply must never answer a *later* request (regression).
 
-        The worker holds its first query reply back for 0.6 s (the test
+        The worker holds its first stats reply back for 0.6 s (the test
         fault hook), so the 0.2 s exchange is certain to abandon it; then
         verify the following request on the same shard gets its own
         answer — the stale reply is dropped by sequence number, not
-        popped as the next response.
+        popped as the next response.  (A timed-out *read* respawns its
+        worker instead — see test_fault_injection — so the stale reply
+        comes from an operator probe, which reports the worker as is.)
         """
         import time
 
         sharded = ShardedQueryService(
             _graph(41), 1, timeout_s=0.2,
-            fault_injection={0: {"kind": "query", "when": "after",
+            fault_injection={0: {"kind": "stats", "when": "after",
                                  "action": "hang", "hang_s": 0.6}})
         try:
-            q_slow = sharded.make_query(0, 10, [0, 1], k=3)
             q_fast = sharded.make_query(5, 20, [1], k=1)
             with pytest.raises(ShardError, match="no response"):
-                sharded.run(q_slow, QueryOptions())
+                sharded.cache_stats()
             time.sleep(0.8)  # let the worker wake and send the stale reply
             sharded.timeout_s = 30.0
             got = sharded.run(q_fast, QueryOptions())
             cold = KOSREngine.build(sharded.graph.copy()).run(q_fast)
             assert_same_outcome(got, cold)
+            assert sharded.respawns == 0
         finally:
             sharded.close()
 
-    def test_dead_worker_surfaces_as_shard_error(self):
+    def test_dead_worker_is_respawned_by_the_next_read(self):
+        """A probe reports the dead worker; the next read heals it."""
         sharded = ShardedQueryService(_graph(13), 2)
         try:
             sharded._procs[0].terminate()
             sharded._procs[0].join(timeout=5)
-            q = sharded.make_query(0, 10, [0], k=1)  # category 0 -> shard 0
-            with pytest.raises(ShardError):
-                sharded.run(q, QueryOptions())
             reports = sharded.ping()
             assert reports[0]["alive"] is False
             assert reports[1]["alive"] is True
+            q = sharded.make_query(0, 10, [0], k=1)  # category 0 -> shard 0
+            cold = KOSREngine.build(sharded.graph.copy()).run(q)
+            assert_same_outcome(sharded.run(q, QueryOptions()), cold)
+            assert sharded.respawns == 1
+            assert all(r["alive"] for r in sharded.ping())
         finally:
             sharded.close()
 
